@@ -38,7 +38,8 @@ class BandConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise BootstrapError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.B < 2.0 / (1.0 - self.gamma):
+        # B (1 - gamma) >= 2, with a tolerance for gamma's binary rounding
+        if self.B * (1.0 - self.gamma) < 2.0 - 1e-9:
             raise BootstrapError(
                 f"B={self.B} is too small for gamma={self.gamma}; "
                 f"need B >= 2/(1-gamma) = {2.0 / (1.0 - self.gamma):.1f}"
@@ -76,8 +77,10 @@ class PredictionBand:
 def predicted_residual_pool(ds: BivariateDataset, fitter, config: BandConfig):
     """Run the resampling loop once; returns (center, pool of shape (B, n)).
 
-    A replicate whose refit raises is retried with fresh residual draws up to
-    10 times, after which the whole run aborts naming the replicate.
+    A replicate whose refit raises a ``ValueError`` (the fitters' error types
+    and numpy's ``LinAlgError`` derive from it) is retried with fresh residual
+    draws up to 10 times, after which the whole run aborts naming the
+    replicate.  Any other exception propagates unchanged.
     """
     xs, ys = ds.xs, ds.ys
     n = ds.n
@@ -96,7 +99,7 @@ def predicted_residual_pool(ds: BivariateDataset, fitter, config: BandConfig):
             try:
                 refit = np.asarray(fitter(xs, y_star), dtype=float)
                 break
-            except Exception:
+            except ValueError:
                 continue
         if refit is None:
             raise BootstrapError(f"model fitter failed for replicate {b} after {_MAX_RETRIES} retries")

@@ -237,7 +237,6 @@ def cmd_plrm(args, out: _Outputs) -> int:
                 "rss": fit.rss,
                 "df": fit.df,
                 "sigma2": fit.sigma2,
-                "grid_fallback": fit.grid_fallback,
                 "unidentified": list(fit.unidentified),
             },
         )

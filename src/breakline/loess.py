@@ -178,32 +178,3 @@ def loess_fitter(config: LoessConfig = LoessConfig()):
 
     return fitter
 
-
-def loess_breakpoint_guesses(ds: BivariateDataset, config: LoessConfig = LoessConfig()) -> tuple[float, float] | None:
-    """Guess two slope-change locations from the loess curvature.
-
-    Returns the two x values with the largest absolute second difference of
-    the fitted curve (kept apart by at least a tenth of the x range), or
-    None when the dataset is too small or the smoother fails.
-    """
-    try:
-        fit = fit_loess(ds, config)
-    except LoessError:
-        return None
-    xs, fitted = ds.xs, fit.fitted
-    keep = np.concatenate(([True], np.diff(xs) > 0))
-    xs, fitted = xs[keep], fitted[keep]
-    if xs.size < 5:
-        return None
-    mid = xs[1:-1]
-    h1 = xs[1:-1] - xs[:-2]
-    h2 = xs[2:] - xs[1:-1]
-    curvature = 2.0 * (fitted[2:] * h1 + fitted[:-2] * h2 - fitted[1:-1] * (h1 + h2)) / (h1 * h2 * (h1 + h2))
-    order = np.argsort(-np.abs(curvature), kind="stable")
-    min_gap = 0.1 * (xs[-1] - xs[0])
-    first = float(mid[order[0]])
-    for j in order[1:]:
-        second = float(mid[j])
-        if abs(second - first) >= min_gap:
-            return (min(first, second), max(first, second))
-    return None

@@ -9,17 +9,18 @@ The mean function is
 which is continuous at both breakpoints by construction; the three segment
 slopes are ``b1``, ``b1 + b2``, and ``b1 + b2 + b3``.
 
-Fitting profiles the breakpoint pair over a deterministic candidate grid
-(midpoints between consecutive distinct x values, subject to a minimum point
-count per segment), solving the inner least-squares problem exactly for each
-pair, and then polishes the full parameter vector with Gauss-Newton steps.
-Standard errors come from the usual nonlinear-least-squares covariance
-``sigma2 * (J'J)^-1`` with the almost-everywhere Jacobian of the mean
-function, and slope contrasts use the delta method; the report rows carry
-these Wald intervals.  Breakpoint confidence intervals from
-:func:`breakpoint_intervals` instead invert the profile F test (Hinkley 1969;
-Feder 1975) on the exact profiled RSS, which follows the asymmetry of the
-breakpoint likelihood; they are computed only when asked for.
+Fitting is exact least squares over the continuum of breakpoint pairs that
+leave a minimum number of points in every segment (Hudson, JASA 1966): a
+search over the cells between consecutive distinct x values, described at
+:class:`_BreakpointProfile`, followed by one conditional least-squares solve
+at the chosen pair.  Standard errors come from the usual
+nonlinear-least-squares covariance ``sigma2 * (J'J)^-1`` with the
+almost-everywhere Jacobian of the mean function, and slope contrasts use
+the delta method; the report rows carry these Wald intervals.  Breakpoint
+confidence intervals from :func:`breakpoint_intervals` instead invert the
+profile F test (Hinkley 1969; Feder 1975) on the exact profiled RSS, which
+follows the asymmetry of the breakpoint likelihood; they are computed only
+when asked for.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from scipy import stats
 
 from .bands import BandConfig, PredictionBand, bootstrap_band
 from .dataset import BivariateDataset
-from .loess import loess_breakpoint_guesses
 
 
 class SegmentedError(ValueError):
@@ -78,11 +78,6 @@ def segmented_design(xs: np.ndarray, a1: float, a2: float) -> np.ndarray:
     )
 
 
-def _theta_predict(xs, theta):
-    b0, b1, b2, b3, a1, a2 = theta
-    return b0 + b1 * xs + b2 * np.maximum(xs - a1, 0.0) + b3 * np.maximum(xs - a2, 0.0)
-
-
 def _theta_jacobian(xs, theta):
     _, _, b2, b3, a1, a2 = theta
     return np.column_stack(
@@ -98,11 +93,10 @@ def _theta_jacobian(xs, theta):
 
 
 class _SuffixSums:
-    """Right-tail power sums of a sorted design; the whole candidate screen
-    reduces to index lookups into these arrays."""
+    """Right-tail power sums of a sorted design: the sums over the points
+    from sorted index ``p`` on are ``suf*[p]``."""
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = xs
         self.n = xs.size
 
         def suffix(values):
@@ -118,179 +112,57 @@ class _SuffixSums:
         self.Sxy = float(self.sufxy[0])
         self.Syy = float(np.sum(ys * ys))
 
-    def tail(self, a, pos):
-        """(T0, T1, T2, U0, U1) summed over points with x strictly above a."""
-        t0 = self.n - pos
-        return t0, self.suf1[pos], self.suf2[pos], self.sufy[pos], self.sufxy[pos]
-
-
-def _screen_pairs(ss: _SuffixSums, a1, a2, pos1, pos2):
-    """Exact normal-equations solve of the inner OLS for many breakpoint pairs.
-
-    Returns (betas, rss, valid) arrays; invalid pairs (numerically singular
-    inner design) carry rss = +inf.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    pos1 = np.asarray(pos1)
-    pos2 = np.asarray(pos2)
-    m = a1.size
-    n = ss.n
-
-    t0_1, t1_1, t2_1, u0_1, u1_1 = ss.tail(a1, pos1)
-    t0_2, t1_2, t2_2, u0_2, u1_2 = ss.tail(a2, pos2)
-
-    s_c1 = t1_1 - a1 * t0_1
-    s_xc1 = t2_1 - a1 * t1_1
-    s_cc1 = t2_1 - 2.0 * a1 * t1_1 + a1 * a1 * t0_1
-    s_yc1 = u1_1 - a1 * u0_1
-    s_c2 = t1_2 - a2 * t0_2
-    s_xc2 = t2_2 - a2 * t1_2
-    s_cc2 = t2_2 - 2.0 * a2 * t1_2 + a2 * a2 * t0_2
-    s_yc2 = u1_2 - a2 * u0_2
-    cross = t2_2 - (a1 + a2) * t1_2 + a1 * a2 * t0_2
-
-    A = np.empty((m, 4, 4))
-    A[:, 0, 0] = n
-    A[:, 0, 1] = A[:, 1, 0] = ss.Sx
-    A[:, 0, 2] = A[:, 2, 0] = s_c1
-    A[:, 0, 3] = A[:, 3, 0] = s_c2
-    A[:, 1, 1] = ss.Sxx
-    A[:, 1, 2] = A[:, 2, 1] = s_xc1
-    A[:, 1, 3] = A[:, 3, 1] = s_xc2
-    A[:, 2, 2] = s_cc1
-    A[:, 2, 3] = A[:, 3, 2] = cross
-    A[:, 3, 3] = s_cc2
-    rhs = np.column_stack([np.full(m, ss.Sy), np.full(m, ss.Sxy), s_yc1, s_yc2])
-
-    diag = np.stack([A[:, k, k] for k in range(4)], axis=1)
-    valid = np.all(diag > 0.0, axis=1)
-    det_norm = np.zeros(m)
-    if np.any(valid):
-        d = np.sqrt(diag[valid])
-        scaled = A[valid] / (d[:, :, None] * d[:, None, :])
-        det_norm_valid = np.abs(np.linalg.det(scaled))
-        det_norm[valid] = det_norm_valid
-        valid[valid] = det_norm_valid > 1e-13
-
-    betas = np.full((m, 4), np.nan)
-    rss = np.full(m, np.inf)
-    if np.any(valid):
-        av, rv = A[valid], rhs[valid]
-        try:
-            sol = np.linalg.solve(av, rv[..., None])[..., 0]
-            # one round of iterative refinement recovers accuracy on
-            # ill-conditioned pairs (nearly coincident breakpoints)
-            defect = rv - np.einsum("ijk,ik->ij", av, sol)
-            sol = sol + np.linalg.solve(av, defect[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            idx = np.nonzero(valid)[0]
-            sol = np.empty((idx.size, 4))
-            for row, k in enumerate(idx):
-                sol[row], *_ = np.linalg.lstsq(A[k], rhs[k], rcond=None)
-        betas[valid] = sol
-        rss[valid] = np.maximum(ss.Syy - np.einsum("ij,ij->i", sol, rv), 0.0)
-    return betas, rss, valid
-
 
 def profile_inner_ols(xs: np.ndarray, ys: np.ndarray, a1: float, a2: float):
-    """Inner least squares for one fixed breakpoint pair, via the same
-    suffix-sum normal equations the candidate screen uses.
+    """Inner least squares for one fixed breakpoint pair: ``lstsq`` on
+    :func:`segmented_design`.
 
     Returns ``(beta, rss)``; raises :class:`SegmentedError` if the inner
-    design is numerically singular.
+    design is rank-deficient.
     """
     if not a1 < a2:
         raise SegmentedError("breakpoints must satisfy a1 < a2")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    xs, ys = xs[order], ys[order]
-    ss = _SuffixSums(xs, ys)
-    pos1 = np.searchsorted(xs, a1, side="right")
-    pos2 = np.searchsorted(xs, a2, side="right")
-    betas, rss, valid = _screen_pairs(ss, [a1], [a2], [pos1], [pos2])
-    if not valid[0]:
-        raise SegmentedError(f"inner least squares singular at breakpoints ({a1}, {a2})")
-    return betas[0], float(rss[0])
-
-
-def candidate_breakpoints(xs: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct x values."""
-    u = np.unique(xs)
-    return (u[:-1] + u[1:]) / 2.0
-
-
-def _candidate_pairs(xs: np.ndarray, min_pts: int):
-    mids = candidate_breakpoints(xs)
-    pos = np.searchsorted(xs, mids, side="right")
-    m = mids.size
-    i_idx, j_idx = np.triu_indices(m, k=1)
-    n = xs.size
-    keep = (
-        (pos[i_idx] >= min_pts)
-        & (pos[j_idx] - pos[i_idx] >= min_pts)
-        & (n - pos[j_idx] >= min_pts)
-    )
-    return mids, pos, i_idx[keep], j_idx[keep]
-
-
-def _segment_counts(xs, a1, a2):
-    p1 = np.searchsorted(xs, a1, side="right")
-    p2 = np.searchsorted(xs, a2, side="right")
-    return p1, p2 - p1, xs.size - p2
-
-
-def _alpha_valid(xs, a1, a2, min_pts):
-    if not (xs[0] < a1 < a2 < xs[-1]):
-        return False
-    c1, c2, c3 = _segment_counts(xs, a1, a2)
-    return c1 >= min_pts and c2 >= min_pts and c3 >= min_pts
-
-
-def _exact_rss(xs, ys, a1, a2):
     design = segmented_design(xs, a1, a2)
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
+    if rank < 4:
+        raise SegmentedError(f"inner least squares singular at breakpoints ({a1}, {a2})")
     resid = ys - design @ beta
     return beta, float(resid @ resid)
 
 
-def _gauss_newton(xs, ys, theta0, min_pts, max_iter=100):
-    """Polish the full parameter vector; only accepts improving, feasible steps.
+def _segment_cells(xs: np.ndarray, min_pts: int):
+    """The segment rule on the cells ``[u[c], u[c+1]]`` between consecutive
+    distinct x values ``u`` of the sorted ``xs``.
 
-    Returns (theta, rss, ok) with ok False when the step computation produced
-    non-finite values (divergence).
+    Returns ``(u, q, admissible)``: ``q[c]`` counts the points at or below
+    ``u[c]``, and ``admissible[j, k]`` says that a1 in cell j and a2 in cell
+    k leave at least ``min_pts`` points in every segment.  Pairs of closed
+    cells are admitted, so a breakpoint on a data value belongs to either of
+    its two cells.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
+    u = np.unique(xs)
+    q = np.searchsorted(xs, u[:-1], side="right")
+    n = xs.size
+    admissible = (
+        (q[:, None] >= min_pts)
+        & (q[None, :] - q[:, None] >= min_pts)
+        & (n - q[None, :] >= min_pts)
+    )
+    return u, q, admissible
 
-    def rss_of(t):
-        r = ys - _theta_predict(xs, t)
-        return float(r @ r)
 
-    best = rss_of(theta)
-    for _ in range(max_iter):
-        J = _theta_jacobian(xs, theta)
-        r = ys - _theta_predict(xs, theta)
-        try:
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        except np.linalg.LinAlgError:
-            return theta, best, False
-        if not np.all(np.isfinite(step)):
-            return theta, best, False
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            cand = theta + scale * step
-            if _alpha_valid(xs, cand[4], cand[5], min_pts):
-                cand_rss = rss_of(cand)
-                if cand_rss < best - 1e-14 * (1.0 + best):
-                    theta, best = cand, cand_rss
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
-    return theta, best, True
+def _cells_of(u: np.ndarray, a: float) -> list[int]:
+    """Cells holding position ``a``: one inside a cell, two on a data value
+    between cells."""
+    cells = {int(np.searchsorted(u, a, side="left")) - 1, int(np.searchsorted(u, a, side="right")) - 1}
+    return sorted(c for c in cells if 0 <= c < u.size - 1)
+
+
+def _pair_admissible(u, admissible, a1: float, a2: float) -> bool:
+    """Whether ``(a1, a2)`` lies in an admissible pair of cells."""
+    return a1 < a2 and any(admissible[j, k] for j in _cells_of(u, a1) for k in _cells_of(u, a2))
 
 
 @dataclass(frozen=True)
@@ -326,7 +198,6 @@ class SegmentedFit:
     cov_pd: bool
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
-    grid_fallback: bool = False
     unidentified: tuple[str, ...] = ()
     x_range: tuple[float, float] = (0.0, 0.0)
 
@@ -340,33 +211,23 @@ def _t_row(name, est, se, df, level=0.95) -> InferenceRow:
     return InferenceRow(name, est, se, t, p, est - tq * se, est + tq * se)
 
 
-def fit_segmented(
-    ds: BivariateDataset,
-    init: SegmentedModel | None = None,
-    min_segment_points: int = 3,
-    polish: bool = True,
-    loess_seed: bool = True,
-) -> SegmentedFit:
-    """Fit the two-breakpoint model by profile grid search plus polish.
+def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> SegmentedFit:
+    """Fit the two-breakpoint model by exact least squares.
 
-    Parameters
-    ----------
-    ds : BivariateDataset
-    init : SegmentedModel, optional
-        Extra polish start (for example a previous fit); the profile grid is
-        always searched in full regardless.
-    min_segment_points : int
-        Minimum observations per segment for an admissible breakpoint pair.
-    polish : bool
-        Run Gauss-Newton refinement from the best candidates.
-    loess_seed : bool
-        Derive one extra polish start from the curvature of a loess fit.
+    The breakpoint pair minimises the RSS over the continuum of pairs that
+    leave at least ``min_segment_points`` observations in every segment; a
+    breakpoint on a data value may count that value's points in either
+    neighbouring segment.  Every pair whose RSS is within ``1e-12`` times the
+    centred total sum of squares of the minimum ties, and the
+    lexicographically smallest ``(a1, a2)`` among them is chosen.  The
+    coefficients and the RSS are one conditional least-squares solve at that
+    pair.  See :class:`_BreakpointProfile` for the search.
 
     Raises
     ------
     SegmentedError
         Too little data, no admissible breakpoint pair, or a singular inner
-        problem at every candidate pair.
+        problem at every admissible pair.
     """
     n = ds.n
     min_pts = int(min_segment_points)
@@ -380,63 +241,16 @@ def fit_segmented(
     if np.unique(xs).size < 6:
         raise SegmentedError("need at least 6 distinct x values")
 
-    mids, pos, i_idx, j_idx = _candidate_pairs(xs, min_pts)
-    if i_idx.size == 0:
+    profile = _BreakpointProfile(xs, ys, min_pts)
+    if not profile.admissible.any():
         raise SegmentedError(
             f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
         )
-    ss = _SuffixSums(xs, ys)
-    _, rss_screen, valid = _screen_pairs(ss, mids[i_idx], mids[j_idx], pos[i_idx], pos[j_idx])
-    if not np.any(valid):
-        raise SegmentedError("inner least squares singular for every candidate breakpoint pair")
+    a1, a2 = profile.least_squares_pair()
+    beta, rss = profile_inner_ols(xs, ys, a1, a2)
+    theta_best = np.concatenate([beta, [a1, a2]])
 
-    # Exact re-scoring of the best-screened candidates guards the ranking
-    # against accumulation error in the normal-equations shortcut.
-    k_rescore = min(64, int(valid.sum()))
-    order = np.argsort(rss_screen, kind="stable")[:k_rescore]
-    rescored = []
-    for k in order:
-        if not valid[k]:
-            continue
-        a1, a2 = float(mids[i_idx[k]]), float(mids[j_idx[k]])
-        beta, rss_exact = _exact_rss(xs, ys, a1, a2)
-        rescored.append((rss_exact, a1, a2, beta))
-    if not rescored:
-        raise SegmentedError("inner least squares singular for every candidate breakpoint pair")
-    rescored.sort(key=lambda item: item[:3])
-    grid_rss, grid_a1, grid_a2, grid_beta = rescored[0]
-
-    # The profiled objective has many near-tied local minima; polishing from
-    # several leading candidates keeps the search global in practice.
-    starts: list[tuple[float, float]] = [(a1, a2) for _, a1, a2, _ in rescored[:10]]
-    if loess_seed:
-        guess = loess_breakpoint_guesses(ds)
-        if guess is not None and _alpha_valid(xs, guess[0], guess[1], min_pts):
-            starts.append(guess)
-    if init is not None and _alpha_valid(xs, init.alpha[0], init.alpha[1], min_pts):
-        starts.append((float(init.alpha[0]), float(init.alpha[1])))
-
-    theta_best = np.concatenate([grid_beta, [grid_a1, grid_a2]])
-    rss_best = grid_rss
-    grid_fallback = False
-    if polish:
-        any_ok = False
-        for a1, a2 in starts:
-            try:
-                beta0, _ = _exact_rss(xs, ys, a1, a2)
-            except np.linalg.LinAlgError:
-                continue
-            theta, rss, ok = _gauss_newton(xs, ys, np.concatenate([beta0, [a1, a2]]), min_pts)
-            any_ok = any_ok or ok
-            if rss < rss_best - 1e-14 * (1.0 + rss_best) or (
-                rss <= rss_best and (theta[4], theta[5]) < (theta_best[4], theta_best[5])
-            ):
-                theta_best, rss_best = theta, rss
-        grid_fallback = not any_ok
-
-    model = SegmentedModel(beta=tuple(theta_best[:4]), alpha=(float(theta_best[4]), float(theta_best[5])))
-    resid = ys - _theta_predict(xs, theta_best)
-    rss = float(resid @ resid)
+    model = SegmentedModel(beta=tuple(float(b) for b in beta), alpha=(a1, a2))
     df = n - 6
     sigma2 = rss / df
 
@@ -490,7 +304,6 @@ def fit_segmented(
         cov_pd=cov_pd,
         xs=xs,
         ys=ys,
-        grid_fallback=grid_fallback,
         unidentified=tuple(unidentified),
         x_range=(float(xs[0]), float(xs[-1])),
     )
@@ -507,16 +320,29 @@ def contrast_inference(fit: SegmentedFit, contrast, name: str = "contrast") -> I
     return _t_row(name, est, se, fit.df)
 
 
+def _lines(n, sx, sxx, sy, sxy):
+    """Least-squares line of each group of points from its power sums:
+    ``(slope, intercept, explained)``, where ``explained`` is the sum of
+    squares of the fitted values.  Groups with fewer than two distinct x
+    values give non-finite or meaningless values; callers mask them."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xbar, ybar = sx / n, sy / n
+        sxy_c = sxy - sx * ybar
+        slope = sxy_c / (sxx - sx * xbar)
+        return slope, ybar - slope * xbar, sy * ybar + slope * sxy_c
+
+
 class _BreakpointProfile:
     """Exact profile RSS of one breakpoint, minimised over every admissible
-    position of the other one.
+    position of the other one, and the exact least-squares breakpoint pair.
 
     The data are standardised (x onto [0, 1], y centred), which leaves the
     RSS unchanged.  A breakpoint position lies in a *cell* ``[u_c, u_c+1]``
     between consecutive distinct x values; points above the cell start at
     sorted index ``q_c``.  A pair of cells ``(j, k)`` is admissible under the
-    fitter's ``min_segment_points`` rule, and the profile of a breakpoint in
-    cell ``c`` minimises over the partner cells admissible with ``c``.
+    fitter's ``min_segment_points`` rule (:func:`_segment_cells`), and the
+    profile of a breakpoint in cell ``c`` minimises over the partner cells
+    admissible with ``c``.
 
     With the profiled breakpoint fixed at ``a`` and the partner restricted to
     cell ``k``, the partner's hinge ``b*(x - t)+`` equals ``g*x*I + h*I`` with
@@ -527,33 +353,40 @@ class _BreakpointProfile:
     JASA 1966).  Partialling the first three columns out reduces every cell
     to a 2x2 problem, evaluated for all cells at once from the suffix sums
     of :class:`_SuffixSums`.
+
+    The same argument with both breakpoints free gives the least-squares
+    pair (:meth:`least_squares_pair`): inside a pair of cells the model is
+    three separate lines, so the minimum over the cell pair is either the
+    three-line fit, when its meeting points fall inside the cells, or lies
+    on a cell edge, where the profile is exact over the partner.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, min_pts: int):
         self.x0 = float(xs[0])
         self.span = float(xs[-1] - xs[0])
         self.ss = _SuffixSums((xs - self.x0) / self.span, ys - float(np.mean(ys)))
-        self.u_orig = np.unique(xs)
+        self.u_orig, self.q, self.admissible = _segment_cells(xs, min_pts)
         self.u = (self.u_orig - self.x0) / self.span
-        q = np.searchsorted(xs, self.u_orig[:-1], side="right")
-        n = xs.size
-        self.q = q
-        # admissible[j, k]: a1 in cell j and a2 in cell k leave at least
-        # min_pts points in every segment
-        self.admissible = (
-            (q[:, None] >= min_pts)
-            & (q[None, :] - q[:, None] >= min_pts)
-            & (n - q[None, :] >= min_pts)
-        )
+        # near-ties of RSS values: a fraction of the centred total sum of squares
+        self.tie = 1e-12 * self.ss.Syy
 
     def cells(self, which: int) -> np.ndarray:
         """Cells holding at least one admissible position of breakpoint ``which``."""
         return np.nonzero(self.admissible.any(axis=1 - which))[0]
 
-    def rss(self, which, t, cell) -> np.ndarray:
+    def edges(self, which: int):
+        """Both edges of each of :meth:`cells`, in increasing order:
+        ``(cell, index into u)`` per edge."""
+        cells = self.cells(which)
+        return np.repeat(cells, 2), np.column_stack([cells, cells + 1]).ravel()
+
+    def rss(self, which, t, cell):
         """Profile RSS at standardised positions ``t`` of breakpoint ``which``
-        (0 or 1, per point) lying in cells ``cell``; +inf where no admissible
-        partner gives a non-singular inner problem."""
+        (0 or 1, per point) lying in cells ``cell``, and the position in x
+        units of the partner breakpoint that attains it: the smallest one
+        whose RSS is within :attr:`tie` of the minimum.  The RSS is +inf and
+        the partner NaN where no admissible partner gives a non-singular
+        inner problem."""
         ss = self.ss
         cell = np.asarray(cell)
         partners = np.where(np.asarray(which)[:, None] == 0, self.admissible[cell, :], self.admissible[:, cell].T)
@@ -600,7 +433,7 @@ class _BreakpointProfile:
         v2 = ss.sufy[qk] - (wc[0] * h1[0] + wc[1] * h1[1] + wc[2] * h1[2])
 
         # RSS reduction (v.dir)^2 / (dir' M dir) along dir = (1, -s): the
-        # partner hinge at s; best of the two cell edges, or the interior
+        # partner hinge at s; at the two cell edges, and at the interior
         # stationary point when it falls inside the cell
         def edge_gain(s, raw):
             quad = m11 - 2.0 * s * m12 + s * s * m22
@@ -609,10 +442,6 @@ class _BreakpointProfile:
             return np.where(quad > 1e-12 * raw, gain, -np.inf)
 
         lo, hi = self.u[:-1], self.u[1:]
-        gain = np.maximum(
-            edge_gain(lo, k2 - 2.0 * lo * k1 + lo * lo * k0),
-            edge_gain(hi, k2 - 2.0 * hi * k1 + hi * hi * k0),
-        )
         det = m11 * m22 - m12 * m12
         with np.errstate(divide="ignore", invalid="ignore"):
             g = m22 * v1 - m12 * v2
@@ -620,11 +449,83 @@ class _BreakpointProfile:
             s_star = -h / g
             full = (m22 * v1 * v1 - 2.0 * m12 * v1 * v2 + m11 * v2 * v2) / det
         inside = (det > 1e-12 * m11 * m22) & (lo <= s_star) & (s_star <= hi)
-        gain = np.where(inside, np.maximum(gain, full), gain)
+        # per partner cell, in increasing position: low edge, interior, high edge
+        gain = np.stack(
+            [
+                edge_gain(lo, k2 - 2.0 * lo * k1 + lo * lo * k0),
+                np.where(inside, full, -np.inf),
+                edge_gain(hi, k2 - 2.0 * hi * k1 + hi * hi * k0),
+            ],
+            axis=2,
+        )
+        cell_gain = np.where(partners, gain.max(axis=2)[back], -np.inf)
+        best = cell_gain.max(axis=1)
+        tied = (best - self.tie)[:, None]
+        k = np.argmax(cell_gain >= tied, axis=1)
+        spot = np.argmax(gain[back, k] >= tied, axis=1)
+        partner = np.where(
+            spot == 0,
+            self.u_orig[k],
+            np.where(spot == 2, self.u_orig[k + 1], self.x0 + self.span * s_star[back, k]),
+        )
+        ok = base_ok[back] & np.isfinite(best)
+        return np.where(ok, np.maximum(rss_base[back] - best, 0.0), np.inf), np.where(ok, partner, np.nan)
 
-        gain = np.where(partners, gain[back], -np.inf).max(axis=1)
-        out = np.maximum(rss_base[back] - gain, 0.0)
-        return np.where(base_ok[back] & np.isfinite(gain), out, np.inf)
+    def _interior_pairs(self):
+        """Breakpoint pairs strictly inside an admissible pair of cells
+        ``(j, k)``: where the separate least-squares lines through the points
+        at or below ``u_j``, between the two cells and at or above ``u_k+1``
+        meet inside cells j and k.  Returns ``(a1, a2, rss)`` with the
+        positions standardised."""
+        ss, u = self.ss, self.u
+        p = np.concatenate([[0], self.q])
+        sums = np.stack([ss.n - p, ss.suf1[p], ss.suf2[p], ss.sufy[p], ss.sufxy[p]])
+        total, tail = sums[:, :1], sums[:, 1:]
+        m1, c1, e1 = _lines(*(total - tail))
+        m2, c2, e2 = _lines(*(tail[:, :, None] - tail[:, None, :]))
+        m3, c3, e3 = _lines(*tail)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (c2 - c1[:, None]) / (m1[:, None] - m2)
+            t2 = (c3[None, :] - c2) / (m2 - m3[None, :])
+        # every line needs two distinct x values: segment 1 holds u_0..u_j,
+        # segment 2 u_j+1..u_k and segment 3 u_k+1..u_last
+        c = np.arange(u.size - 1)
+        lo, hi = u[:-1], u[1:]
+        ok = (
+            self.admissible
+            & (c[:, None] >= 1)
+            & (c[None, :] - c[:, None] >= 2)
+            & (c[None, :] <= u.size - 3)
+            & (lo[:, None] < t1)
+            & (t1 < hi[:, None])
+            & (lo[None, :] < t2)
+            & (t2 < hi[None, :])
+        )
+        j, k = np.nonzero(ok)
+        return t1[j, k], t2[j, k], ss.Syy - (e1[j] + e2[j, k] + e3[k])
+
+    def least_squares_pair(self) -> tuple[float, float]:
+        """The admissible breakpoint pair of least RSS, in x units.
+
+        Candidates are the interior three-line fits of every admissible cell
+        pair, and each breakpoint at both edges of every admissible cell with
+        its exact best partner.  Among the candidates within :attr:`tie` of
+        the least RSS, the lexicographically smallest pair wins.
+        """
+        t1, t2, rss_in = self._interior_pairs()
+        (cell1, edge1), (cell2, edge2) = self.edges(0), self.edges(1)
+        which = np.repeat([0, 1], [edge1.size, edge2.size])
+        cell, edge = np.concatenate([cell1, cell2]), np.concatenate([edge1, edge2])
+        rss_edge, partner = self.rss(which, self.u[edge], cell)
+        at = self.u_orig[edge]
+        a1 = np.concatenate([self.x0 + self.span * t1, np.where(which == 0, at, partner)])
+        a2 = np.concatenate([self.x0 + self.span * t2, np.where(which == 0, partner, at)])
+        rss = np.concatenate([rss_in, rss_edge])
+        if not np.isfinite(rss).any():
+            raise SegmentedError("inner least squares singular for every admissible breakpoint pair")
+        tied = np.nonzero(rss <= rss.min() + self.tie)[0]
+        best = tied[np.lexsort((a2[tied], a1[tied]))[0]]
+        return float(a1[best]), float(a2[best])
 
 
 def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, points=8):
@@ -637,7 +538,7 @@ def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, point
     rows = np.arange(a_in.size)
     for _ in range(rounds):
         trial = a_in[:, None] + (a_out - a_in)[:, None] * frac
-        rss = profile.rss(np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
+        rss, _ = profile.rss(np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
         below = rss.reshape(trial.shape) <= cutoff
         # walking from a_in towards a_out, the first trial above the cutoff
         # becomes the new outside end and the trial before it the inside end
@@ -650,22 +551,25 @@ def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, point
 def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tuple[float, float]]:
     profile = _BreakpointProfile(fit.xs, fit.ys, fit.min_segment_points)
     u, u_orig = profile.u, profile.u_orig
-    # samples: both edges of every admissible cell, plus the estimate
+    # samples: both edges of every admissible cell, plus the estimate when
+    # it lies inside a cell; an estimate on a data value is an edge of one
+    # or both of its cells, and counts as inside the interval in either
     samples = []
     for name in names:
         which = 0 if name == "alpha1" else 1
         est = fit.model.alpha[which]
-        cells = profile.cells(which)
-        cell = np.repeat(cells, 2)
-        t = np.column_stack([u[cells], u[cells + 1]]).ravel()
-        orig = np.column_stack([u_orig[cells], u_orig[cells + 1]]).ravel()
-        # the fitted pair is admissible, so the estimate's cell is scanned
-        t_est = (est - profile.x0) / profile.span
-        est_cell = int(np.searchsorted(u, t_est, side="right")) - 1
-        est_at = 2 * int(np.searchsorted(cells, est_cell)) + 1
-        cell, t, orig = (np.insert(v, est_at, e) for v, e in ((cell, est_cell), (t, t_est), (orig, est)))
-        samples.append((which, est, cell, t, orig, est_at))
-    rss = profile.rss(
+        cell, edge = profile.edges(which)
+        t, orig = u[edge], u_orig[edge]
+        at_est = orig == est
+        if not at_est.any():
+            est_cell = int(np.searchsorted(u_orig, est)) - 1
+            est_at = 2 * int(np.searchsorted(cell[::2], est_cell)) + 1
+            t_est = (est - profile.x0) / profile.span
+            cell, t, orig, at_est = (
+                np.insert(v, est_at, e) for v, e in ((cell, est_cell), (t, t_est), (orig, est), (at_est, True))
+            )
+        samples.append((which, est, cell, t, orig, at_est))
+    rss, _ = profile.rss(
         np.concatenate([np.full(s[2].size, s[0]) for s in samples]),
         np.concatenate([s[3] for s in samples]),
         np.concatenate([s[2] for s in samples]),
@@ -677,10 +581,9 @@ def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tupl
     ends = {}  # name -> [lower, upper]; bracketed ends are filled in below
     brackets = []
     offset = 0
-    for name, (which, est, cell, t, orig, est_at) in zip(names, samples):
-        below = rss[offset : offset + t.size] <= cutoff
+    for name, (which, est, cell, t, orig, at_est) in zip(names, samples):
+        below = (rss[offset : offset + t.size] <= cutoff) | at_est
         offset += t.size
-        below[est_at] = True
         inside = np.nonzero(below)[0]
         ends[name] = [None, None]
         for side, i, j in ((0, inside[0], inside[0] - 1), (1, inside[-1], inside[-1] + 1)):
@@ -756,14 +659,12 @@ def fit_report_rows(fit: SegmentedFit, significance_level: float = 0.05) -> list
     return rows
 
 
-def segmented_fitter(min_segment_points: int = 3, polish: bool = True, loess_seed: bool = False):
+def segmented_fitter(min_segment_points: int = 3):
     """Mean-model fitter adapter for the bootstrap: ``(xs, ys) -> fitted``."""
 
     def fitter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         ds = BivariateDataset.from_arrays(xs, ys)
-        fit = fit_segmented(
-            ds, min_segment_points=min_segment_points, polish=polish, loess_seed=loess_seed
-        )
+        fit = fit_segmented(ds, min_segment_points=min_segment_points)
         return eval_segmented(fit.model, xs)
 
     return fitter
@@ -798,9 +699,8 @@ def plrm_prediction_band(
         band.meta["bootstrap_fallback"] = True
         return band
     xs = ds.xs
-    theta = fit.model.theta
-    center = _theta_predict(xs, theta)
-    g = _theta_jacobian(xs, theta)
+    center = eval_segmented(fit.model, xs)
+    g = _theta_jacobian(xs, fit.model.theta)
     quad = np.einsum("ij,jk,ik->i", g, fit.cov, g)
     variance = fit.sigma2 + np.maximum(quad, 0.0)
     half = float(stats.t.ppf(0.5 + gamma / 2.0, fit.df)) * np.sqrt(variance)

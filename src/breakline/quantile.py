@@ -8,9 +8,10 @@ For fixed breakpoints the problem is linear in the coefficients and is solved
 exactly as a linear program by a specialized exchange simplex (the classic
 vertex structure of least-absolute-deviation fitting: an optimal basic
 solution interpolates exactly ``p`` observations).  Breakpoints are profiled
-over the same candidate grid the least-squares fitter uses, with an optional
-finer local refinement around the incumbent, so the returned fit is the
-global optimum on the candidate grid.
+over a candidate grid (midpoints between consecutive distinct x values, under
+the least-squares fitter's segment rule), with an optional finer local
+refinement around the incumbent, so the returned fit is the global optimum
+on the candidate grid.
 
 The spread of breakpoint estimates across a tau grid doubles as a simple
 interval: the smallest and largest estimates over taus ``t_min..t_max`` are
@@ -32,9 +33,10 @@ from .dataset import BivariateDataset
 from .piecewise import (
     SegmentedError,
     SegmentedModel,
-    _alpha_valid,
-    _candidate_pairs,
+    _pair_admissible,
+    _segment_cells,
     eval_segmented,
+    segmented_design,
 )
 
 DEFAULT_TAU_GRID = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
@@ -263,12 +265,6 @@ class QuantileSegmentedFit:
     n: int
 
 
-def _quantile_design(xs, a1, a2):
-    return np.column_stack(
-        [np.ones_like(xs), xs, np.maximum(xs - a1, 0.0), np.maximum(xs - a2, 0.0)]
-    )
-
-
 def fit_segmented_quantile(
     ds: BivariateDataset,
     tau: float,
@@ -279,13 +275,13 @@ def fit_segmented_quantile(
 ) -> QuantileSegmentedFit:
     """Profile the breakpoint pair over the candidate grid at one tau level.
 
-    The candidate grid matches the least-squares fitter (midpoints between
-    consecutive distinct x values with at least ``min_segment_points`` per
-    segment); each pair's inner problem is an exact LP on the basis
-    ``(1, x, (x-a1)+, (x-a2)+)``.  ``refine_rounds`` local refinements search
-    a finer sub-grid between the incumbent's neighboring candidates; the
-    refined optimum can only improve on the coarse one.  ``init`` (typically
-    a least-squares fit) seeds the first warm start.
+    The candidate grid is the midpoints between consecutive distinct x values,
+    paired under the least-squares fitter's rule of at least
+    ``min_segment_points`` per segment; each pair's inner problem is an exact
+    LP on the basis ``(1, x, (x-a1)+, (x-a2)+)``.  ``refine_rounds`` local
+    refinements search a finer sub-grid between the incumbent's neighboring
+    candidates; the refined optimum can only improve on the coarse one.
+    ``init`` (typically a least-squares fit) seeds the first warm start.
 
     Raises
     ------
@@ -312,7 +308,10 @@ def fit_segmented_quantile(
     if np.unique(xs).size < 6:
         raise SegmentedError("need at least 6 distinct x values")
 
-    mids, _, i_idx, j_idx = _candidate_pairs(xs, min_pts)
+    u, _, admissible = _segment_cells(xs, min_pts)
+    # the candidate grid: the midpoints of every admissible pair of cells
+    mids = (u[:-1] + u[1:]) / 2.0
+    i_idx, j_idx = np.nonzero(admissible)
     if i_idx.size == 0:
         raise SegmentedError(
             f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
@@ -321,7 +320,7 @@ def fit_segmented_quantile(
     basis = None
     if init is not None:
         a1, a2 = init.alpha
-        if _alpha_valid(xs, a1, a2, min_pts):
+        if _pair_admissible(u, admissible, a1, a2):
             resid = np.abs(ys - eval_segmented(init, xs))
             basis = np.sort(np.argsort(resid, kind="stable")[:4])
 
@@ -367,12 +366,12 @@ def fit_segmented_quantile(
         grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), refine_points)
         for a1 in grid1:
             for a2 in grid2:
-                if a1 < a2 and _alpha_valid(xs, a1, a2, min_pts):
+                if _pair_admissible(u, admissible, a1, a2):
                     try_pair(float(a1), float(a2))
 
     objective, a1, a2, beta = best
     model = SegmentedModel(beta=tuple(float(v) for v in beta), alpha=(a1, a2))
-    residuals = ys - _quantile_design(xs, a1, a2) @ beta
+    residuals = ys - segmented_design(xs, a1, a2) @ beta
     return QuantileSegmentedFit(
         tau=float(tau),
         model=model,

@@ -32,6 +32,10 @@ def test_config_validation():
     with pytest.raises(BootstrapError):
         BandConfig(B=30, gamma=0.95)
     BandConfig(B=40, gamma=0.95)
+    # gamma 0.8 needs B >= 10, although 2/(1-0.8) rounds to 10.000000000000002
+    BandConfig(B=10, gamma=0.8)
+    with pytest.raises(BootstrapError):
+        BandConfig(B=9, gamma=0.8)
 
 
 def test_zero_residuals_collapse_band():
@@ -95,7 +99,7 @@ def test_retry_then_success():
     def flaky(xs, ys):
         calls["n"] += 1
         if calls["n"] in (2, 3, 4):  # replicate 0 fails three times, then recovers
-            raise RuntimeError("transient")
+            raise ValueError("transient")
         return ols_line_fitter(xs, ys)
 
     center, pool = predicted_residual_pool(ds, flaky, BandConfig(B=10, gamma=0.5, rng=RngSpec(4)))
@@ -110,11 +114,26 @@ def test_abort_after_retries_reports_replicate():
     def always_fail_after_first(xs, ys):
         calls["n"] += 1
         if calls["n"] > 1:
-            raise RuntimeError("broken")
+            raise ValueError("broken")
         return ols_line_fitter(xs, ys)
 
     with pytest.raises(BootstrapError, match="replicate 0"):
         predicted_residual_pool(ds, always_fail_after_first, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+
+
+def test_fitter_bug_propagates_unchanged():
+    ds = _line_dataset(noise=0.2)
+    calls = {"n": 0}
+
+    def buggy(xs, ys):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise TypeError("not a fit failure")
+        return ols_line_fitter(xs, ys)
+
+    with pytest.raises(TypeError, match="not a fit failure"):
+        predicted_residual_pool(ds, buggy, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+    assert calls["n"] == 3  # no retry
 
 
 def test_band_shape_validation():

@@ -160,7 +160,7 @@ def test_median_fit_consistent_with_least_squares():
         xs = np.linspace(0, 1, 50)
         ys = eval_segmented(truth, xs) + 0.4 * standard_normal(RngSpec(seed).stream(0), 50)
         ds = BivariateDataset.from_arrays(xs, ys)
-        ls = fit_segmented(ds, loess_seed=False)
+        ls = fit_segmented(ds)
         from breakline.piecewise import breakpoint_intervals
 
         iv = breakpoint_intervals(ls, 0.95)
