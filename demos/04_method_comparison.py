@@ -21,7 +21,7 @@ gamma = 0.80
 )
 
 ls_fit = bl.fit_segmented(ds)
-pl_band = bl.plrm_prediction_band(ls_fit, ds, gamma)
+(pl_band,) = bl.plrm_prediction_band(ls_fit, ds, [gamma])
 
 fits, _ = bl.fit_tau_grid(ds, init=ls_fit.model)
 table = bl.quantile_breakpoint_intervals(fits)

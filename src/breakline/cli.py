@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
+from numpy.linalg import LinAlgError
 
 from .area import AreaConfig, AreaError, MethodIntervals, compare_methods, compute_area
 from .bands import BandConfig, BootstrapError, bootstrap_bands
@@ -24,7 +24,8 @@ from .dataset import (
     summarize,
     write_dataset_csv,
 )
-from .loess import LoessConfig, LoessError, fit_loess, loess_fitter
+# fit_loess is unused here; perfbench/tracing.py patches it by name
+from .loess import LoessConfig, LoessError, fit_loess, loess_fitter  # noqa: F401
 from .piecewise import (
     SegmentedError,
     SegmentedModel,
@@ -57,7 +58,7 @@ from .synthetic import GaussianNoise, SyntheticError, SyntheticSpec, WedgeNoise,
 # summaries report; fit-report rows keep the Wald interval
 _PLRM_CI_METHOD = "profile-F"
 
-_FIT_ERRORS = (LoessError, SegmentedError, QuantileError, BootstrapError, SyntheticError, AreaError)
+_FIT_ERRORS = (LoessError, SegmentedError, QuantileError, BootstrapError, SyntheticError, AreaError, LinAlgError)
 
 
 class _Outputs:
@@ -81,13 +82,6 @@ class _Outputs:
         qdir.mkdir(exist_ok=True)
         for p in existing:
             p.rename(qdir / p.name)
-
-
-def _error_record(out: _Outputs, code: int, kind: str, exc: Exception) -> None:
-    write_json(
-        out.dir / "error.json",
-        {"exit_code": code, "kind": kind, "error_type": type(exc).__name__, "message": str(exc)},
-    )
 
 
 def _parse_floats(text: str, count: int | None = None, what: str = "value") -> list[float]:
@@ -129,19 +123,34 @@ def _load(args) -> BivariateDataset:
     )
 
 
-def _gammas(args) -> list[float]:
-    if args.gamma is not None:
-        return [args.gamma]
-    return [0.80, 0.95]
+def _gammas(args, default=(0.80, 0.95)) -> list[float]:
+    return [args.gamma] if args.gamma is not None else list(default)
 
 
-def _band_name(gamma: float) -> str:
-    return f"band_gamma{int(round(gamma * 100)):03d}"
+def _taus(args) -> list[float]:
+    return _parse_floats(args.tau_grid, None, "tau") if args.tau_grid else list(DEFAULT_TAU_GRID)
 
 
-def _emit_band(out: _Outputs, name: str, band, formats) -> None:
+def _loess_fitter(args):
+    return loess_fitter(LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters))
+
+
+def _band_config(args, gamma: float) -> BandConfig:
+    return BandConfig(B=args.bootstrap, gamma=gamma, rng=RngSpec(args.seed))
+
+
+def _emit_band(out: _Outputs, band, formats, prefix: str = "") -> None:
     if "csv" in formats:
-        write_band_csv(out.path(f"{name}.csv"), band)
+        write_band_csv(out.path(f"{prefix}band_gamma{int(round(band.gamma * 100)):03d}.csv"), band)
+
+
+def _area_and_emit(out: _Outputs, bands, args, formats) -> dict[str, float]:
+    """Compute each band's area and write its CSV; returns the areas keyed by gamma."""
+    area_config = AreaConfig(grid_cells=args.grid_cells)
+    for band in bands:
+        compute_area(band, area_config)
+        _emit_band(out, band, formats)
+    return {f"{b.gamma:g}": b.area for b in bands}
 
 
 def _emit_figure(out: _Outputs, name: str, ds, bands, formats, curves=None, ticks=None, title="") -> None:
@@ -200,15 +209,9 @@ def cmd_synth(args, out: _Outputs) -> int:
 def cmd_loess_band(args, out: _Outputs) -> int:
     ds = _load(args)
     formats = _formats(args)
-    config = LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters)
-    fit = fit_loess(ds, config)
     gammas = _gammas(args)
-    band_config = BandConfig(B=args.bootstrap, gamma=max(gammas), rng=RngSpec(args.seed))
-    bands = bootstrap_bands(ds, loess_fitter(config), band_config, gammas, method="BL")
-    area_config = AreaConfig(grid_cells=args.grid_cells)
-    for band in bands:
-        compute_area(band, area_config)
-        _emit_band(out, _band_name(band.gamma), band, formats)
+    bands = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, max(gammas)), gammas, method="BL")
+    areas = _area_and_emit(out, bands, args, formats)
     if "json" in formats:
         write_json(
             out.path("summary.json"),
@@ -216,7 +219,7 @@ def cmd_loess_band(args, out: _Outputs) -> int:
                 "method": "BL",
                 "loess": {"span": args.span, "degree": args.degree, "robust_iterations": args.robust_iters},
                 "bootstrap": {"B": args.bootstrap, "seed": args.seed},
-                "areas": {f"{b.gamma:g}": b.area for b in bands},
+                "areas": areas,
                 "dataset_summary": _summary_rows(ds),
             },
         )
@@ -241,28 +244,12 @@ def cmd_plrm(args, out: _Outputs) -> int:
             },
         )
     gammas = _gammas(args)
-    bands = []
-    for gamma in gammas:
-        band = plrm_prediction_band(
-            fit,
-            ds,
-            gamma,
-            bootstrap_config=BandConfig(B=args.bootstrap, gamma=gamma, rng=RngSpec(args.seed)),
-            force_bootstrap=(args.band_method == "bootstrap"),
-        )
-        compute_area(band, AreaConfig(grid_cells=args.grid_cells))
-        bands.append(band)
-        _emit_band(out, _band_name(gamma), band, formats)
+    force_bootstrap = args.band_method == "bootstrap"
+    bands = plrm_prediction_band(fit, ds, gammas, _band_config(args, max(gammas)), force_bootstrap)
+    areas = _area_and_emit(out, bands, args, formats)
     ci95 = breakpoint_intervals(fit, 0.95)
-    _emit_figure(
-        out,
-        "figure_plrm",
-        ds,
-        bands,
-        formats,
-        ticks=list(ci95.values()),
-        title="piecewise linear fit with prediction bands",
-    )
+    title = "piecewise linear fit with prediction bands"
+    _emit_figure(out, "figure_plrm", ds, bands, formats, ticks=list(ci95.values()), title=title)
     if "json" in formats:
         write_json(
             out.path("summary.json"),
@@ -270,12 +257,17 @@ def cmd_plrm(args, out: _Outputs) -> int:
                 "method": "PLRM",
                 "alpha": list(fit.model.alpha),
                 "beta": list(fit.model.beta),
-                "areas": {f"{b.gamma:g}": b.area for b in bands},
+                "areas": areas,
                 "breakpoint_ci95": {k: list(v) for k, v in ci95.items()},
                 "breakpoint_ci_method": _PLRM_CI_METHOD,
             },
         )
     return 0
+
+
+def _band_taus(gamma: float) -> tuple[float, float, float]:
+    """The (lower, median, upper) quantile levels of a PQRM band at gamma."""
+    return round((1.0 - gamma) / 2.0, 10), 0.5, round((1.0 + gamma) / 2.0, 10)
 
 
 def _pqrm_pieces(ds, taus, gamma, min_seg_points):
@@ -286,25 +278,22 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
         raise QuantileError(f"too few successful tau fits ({len(fits)}) to build intervals")
     table = quantile_breakpoint_intervals(fits, failed_taus=[t for t, _ in failures])
     by_tau = {round(f.tau, 10): f for f in fits}
-    band = None
-    t_lo, t_hi = round((1.0 - gamma) / 2.0, 10), round((1.0 + gamma) / 2.0, 10)
-    needed = {t_lo, 0.5, t_hi}
-    extra_failures = list(failures)
-    for t in sorted(needed - set(by_tau)):
+    band_taus = _band_taus(gamma)
+    for t in sorted(set(band_taus) - set(by_tau)):
         try:
             by_tau[t] = fit_segmented_quantile(ds, t, init=ls_fit.model, min_segment_points=min_seg_points)
         except (QuantileError, SegmentedError) as exc:
-            extra_failures.append((t, str(exc)))
-    if needed <= set(by_tau):
-        band = pqrm_prediction_band(by_tau[t_lo], by_tau[0.5], by_tau[t_hi], ds)
-    return ls_fit, fits, table, band, extra_failures
+            failures.append((t, str(exc)))
+    fitted = set(band_taus) <= set(by_tau)
+    band = pqrm_prediction_band(*(by_tau[t] for t in band_taus), ds) if fitted else None
+    return ls_fit, fits, table, band, failures
 
 
 def cmd_pqrm(args, out: _Outputs) -> int:
     ds = _load(args)
     formats = _formats(args)
-    taus = _parse_floats(args.tau_grid, None, "tau") if args.tau_grid else list(DEFAULT_TAU_GRID)
-    gamma = args.gamma if args.gamma is not None else 0.80
+    taus = _taus(args)
+    (gamma,) = _gammas(args, (0.80,))
     _, fits, table, band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     if "csv" in formats:
         write_tau_table_csv(out.path("tau_table.csv"), table)
@@ -321,15 +310,12 @@ def cmd_pqrm(args, out: _Outputs) -> int:
                 "failed_taus": list(table.failed_taus),
             },
         )
-    bands = []
-    if band is not None:
-        compute_area(band, AreaConfig(grid_cells=args.grid_cells))
-        bands = [band]
-        _emit_band(out, _band_name(gamma), band, formats)
+    bands = [] if band is None else [band]
+    _area_and_emit(out, bands, args, formats)
     curves = [
         (f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs))
         for fit in fits
-        if round(fit.tau, 10) in {round((1 - gamma) / 2, 10), 0.5, round((1 + gamma) / 2, 10)}
+        if round(fit.tau, 10) in _band_taus(gamma)
     ]
     _emit_figure(out, "figure_pqrm", ds, bands, formats, curves=curves, title="piecewise quantile fits")
     if "json" in formats:
@@ -349,27 +335,14 @@ def cmd_pqrm(args, out: _Outputs) -> int:
 def cmd_compare(args, out: _Outputs) -> int:
     ds = _load(args)
     formats = _formats(args)
-    gamma = args.gamma if args.gamma is not None else 0.80
-    taus = _parse_floats(args.tau_grid, None, "tau") if args.tau_grid else list(DEFAULT_TAU_GRID)
-    area_config = AreaConfig(grid_cells=args.grid_cells)
-
-    loess_config = LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters)
-    fit_loess(ds, loess_config)  # surfaces loess config errors before the slow part
-    (bl_band,) = bootstrap_bands(
-        ds,
-        loess_fitter(loess_config),
-        BandConfig(B=args.bootstrap, gamma=gamma, rng=RngSpec(args.seed)),
-        [gamma],
-        method="BL",
-    )
-
+    (gamma,) = _gammas(args, (0.80,))
+    taus = _taus(args)
+    fitter = _loess_fitter(args)
+    band_config = _band_config(args, gamma)
+    # the pool's center fit runs first, so loess errors surface before the slow part
+    (bl_band,) = bootstrap_bands(ds, fitter, band_config, [gamma], method="BL")
     ls_fit, _, table, pq_band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
-    pl_band = plrm_prediction_band(
-        ds=ds,
-        fit=ls_fit,
-        gamma=gamma,
-        bootstrap_config=BandConfig(B=args.bootstrap, gamma=gamma, rng=RngSpec(args.seed)),
-    )
+    (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], bootstrap_config=band_config)
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")
 
@@ -379,33 +352,22 @@ def cmd_compare(args, out: _Outputs) -> int:
         MethodIntervals("PLRM", table.coverage_label, pl_iv["alpha1"], pl_iv["alpha2"]),
         MethodIntervals("PQRM", table.coverage_label, table.alpha1_interval, table.alpha2_interval),
     ]
-    report = compare_methods(
-        {"BL": bl_band, "PLRM": pl_band, "PQRM": pq_band}, intervals, area_config
-    )
+    bands = {"BL": bl_band, "PLRM": pl_band, "PQRM": pq_band}
+    report = compare_methods(bands, intervals, AreaConfig(grid_cells=args.grid_cells))
 
     if "json" in formats:
         write_json(
             out.path("comparison.json"), {**report.to_jsonable(), "breakpoint_ci_method": _PLRM_CI_METHOD}
         )
-        write_json(
-            out.path("plrm_fit_report.json"),
-            {"method": "PLRM", "rows": fit_report_rows(ls_fit)},
-        )
+        write_json(out.path("plrm_fit_report.json"), {"method": "PLRM", "rows": fit_report_rows(ls_fit)})
     if "csv" in formats:
         write_comparison_csv(out.path("comparison.csv"), report)
         write_tau_table_csv(out.path("tau_table.csv"), table)
-        for name, band in (("BL", bl_band), ("PLRM", pl_band), ("PQRM", pq_band)):
-            write_band_csv(out.path(f"{name.lower()}_{_band_name(gamma)}.csv"), band)
+    for name, band in bands.items():
+        _emit_band(out, band, formats, prefix=f"{name.lower()}_")
     _emit_figure(out, "figure_bl", ds, [bl_band], formats, title="bootstrapped loess band")
-    _emit_figure(
-        out,
-        "figure_plrm",
-        ds,
-        [pl_band],
-        formats,
-        ticks=list(breakpoint_intervals(ls_fit, 0.95).values()),
-        title="piecewise linear band",
-    )
+    ticks = list(breakpoint_intervals(ls_fit, 0.95).values())
+    _emit_figure(out, "figure_plrm", ds, [pl_band], formats, ticks=ticks, title="piecewise linear band")
     _emit_figure(out, "figure_pqrm", ds, [pq_band], formats, title="piecewise quantile band")
     return 4 if failures else 0
 
@@ -424,6 +386,28 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default=None, help="comma list from json,csv,svg (default all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-cells", type=int, default=10_000, help="cells for band-area grids")
+
+
+def _add_loess_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--span", type=float, default=0.75)
+    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--robust-iters", type=int, default=4)
+
+
+def _add_bootstrap_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bootstrap", type=int, default=10_000, metavar="B")
+
+
+def _add_min_seg_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--min-seg-points", type=int, default=3)
+
+
+def _add_tau_grid_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau-grid", default=None, help="comma list, default 0.1,...,0.9")
+
+
+def _add_gamma_arg(p: argparse.ArgumentParser, help: str = "default: both 0.80 and 0.95") -> None:
+    p.add_argument("--gamma", type=float, default=None, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,40 +430,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loess-band", help="loess fit with bootstrap prediction bands")
     _add_dataset_args(p)
-    p.add_argument("--span", type=float, default=0.75)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--robust-iters", type=int, default=4)
-    p.add_argument("--bootstrap", type=int, default=10_000, metavar="B")
-    p.add_argument("--gamma", type=float, default=None, help="default: both 0.80 and 0.95")
+    _add_loess_args(p)
+    _add_bootstrap_arg(p)
+    _add_gamma_arg(p)
     _add_common_args(p)
     p.set_defaults(func=cmd_loess_band)
 
     p = sub.add_parser("plrm", help="two-breakpoint piecewise linear regression")
     _add_dataset_args(p)
-    p.add_argument("--min-seg-points", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=None, help="default: both 0.80 and 0.95")
+    _add_min_seg_arg(p)
+    _add_gamma_arg(p)
     p.add_argument("--band-method", choices=["parametric", "bootstrap"], default="parametric")
-    p.add_argument("--bootstrap", type=int, default=10_000, metavar="B")
+    _add_bootstrap_arg(p)
     _add_common_args(p)
     p.set_defaults(func=cmd_plrm)
 
     p = sub.add_parser("pqrm", help="two-breakpoint piecewise linear quantile regression")
     _add_dataset_args(p)
-    p.add_argument("--min-seg-points", type=int, default=3)
-    p.add_argument("--tau-grid", default=None, help="comma list, default 0.1,...,0.9")
-    p.add_argument("--gamma", type=float, default=None, help="band coefficient, default 0.80")
+    _add_min_seg_arg(p)
+    _add_tau_grid_arg(p)
+    _add_gamma_arg(p, "band coefficient, default 0.80")
     _add_common_args(p)
     p.set_defaults(func=cmd_pqrm)
 
     p = sub.add_parser("compare", help="run all three methods and compare widths and areas")
     _add_dataset_args(p)
-    p.add_argument("--span", type=float, default=0.75)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--robust-iters", type=int, default=4)
-    p.add_argument("--bootstrap", type=int, default=10_000, metavar="B")
-    p.add_argument("--min-seg-points", type=int, default=3)
-    p.add_argument("--tau-grid", default=None, help="comma list, default 0.1,...,0.9")
-    p.add_argument("--gamma", type=float, default=None, help="default 0.80")
+    _add_loess_args(p)
+    _add_bootstrap_arg(p)
+    _add_min_seg_arg(p)
+    _add_tau_grid_arg(p)
+    _add_gamma_arg(p, "default 0.80")
     _add_common_args(p)
     p.set_defaults(func=cmd_compare)
 
@@ -491,21 +471,15 @@ def main(argv=None) -> int:
     out = _Outputs(args.out)
     try:
         return args.func(args, out)
-    except DataError as exc:
+    except (DataError, *_FIT_ERRORS) as exc:
+        code, kind = (2, "input") if isinstance(exc, DataError) else (3, "fit")
         out.quarantine()
-        _error_record(out, 2, "input", exc)
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except _FIT_ERRORS as exc:
-        out.quarantine()
-        _error_record(out, 3, "fit", exc)
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        out.quarantine()
-        _error_record(out, 3, "fit", exc)
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 3
+        write_json(
+            out.dir / "error.json",
+            {"exit_code": code, "kind": kind, "error_type": type(exc).__name__, "message": str(exc)},
+        )
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .bands import BandConfig, PredictionBand, bootstrap_band
+# bootstrap_band is unused here; perfbench/tracing.py patches it by name
+from .bands import BandConfig, PredictionBand, bootstrap_band, bootstrap_bands  # noqa: F401
 from .dataset import BivariateDataset
 
 
@@ -673,43 +674,49 @@ def segmented_fitter(min_segment_points: int = 3):
 def plrm_prediction_band(
     fit: SegmentedFit,
     ds: BivariateDataset,
-    gamma: float,
+    gammas,
     bootstrap_config: BandConfig | None = None,
     force_bootstrap: bool = False,
-) -> PredictionBand:
-    """Prediction band for the response on the observed design.
+) -> list[PredictionBand]:
+    """Prediction bands for the response on the observed design, one per gamma.
 
     The default is the parametric band ``yhat(x) +/- t * sqrt(sigma2 * (1 +
     g' (J'J)^-1 g))`` with ``g`` the mean-function gradient; when the
-    curvature matrix is not positive definite (or on request) the band falls
-    back to the residual bootstrap with the piecewise fitter.
+    curvature matrix is not positive definite (or on request) the bands fall
+    back to the residual bootstrap with the piecewise fitter, all read off
+    one replicate pool.
     """
-    if not (0.0 < gamma < 1.0):
-        raise SegmentedError(f"gamma must be in (0, 1), got {gamma}")
+    for gamma in gammas:
+        if not (0.0 < gamma < 1.0):
+            raise SegmentedError(f"gamma must be in (0, 1), got {gamma}")
     if force_bootstrap or not fit.cov_pd:
-        config = bootstrap_config or BandConfig(gamma=gamma)
-        if not math.isclose(config.gamma, gamma):
-            config = BandConfig(B=config.B, gamma=gamma, rng=config.rng)
-        band = bootstrap_band(
+        bands = bootstrap_bands(
             ds,
             segmented_fitter(min_segment_points=fit.min_segment_points),
-            config,
+            bootstrap_config or BandConfig(gamma=max(gammas)),
+            gammas,
             method="PLRM",
         )
-        band.meta["bootstrap_fallback"] = True
-        return band
+        for band in bands:
+            band.meta["bootstrap_fallback"] = True
+        return bands
     xs = ds.xs
     center = eval_segmented(fit.model, xs)
     g = _theta_jacobian(xs, fit.model.theta)
     quad = np.einsum("ij,jk,ik->i", g, fit.cov, g)
-    variance = fit.sigma2 + np.maximum(quad, 0.0)
-    half = float(stats.t.ppf(0.5 + gamma / 2.0, fit.df)) * np.sqrt(variance)
-    return PredictionBand(
-        grid_x=xs.copy(),
-        center=center,
-        lower=center - half,
-        upper=center + half,
-        gamma=float(gamma),
-        method="PLRM",
-        meta={"kind": "parametric"},
-    )
+    sd = np.sqrt(fit.sigma2 + np.maximum(quad, 0.0))
+    bands = []
+    for gamma in gammas:
+        half = float(stats.t.ppf(0.5 + gamma / 2.0, fit.df)) * sd
+        bands.append(
+            PredictionBand(
+                grid_x=xs.copy(),
+                center=center.copy(),
+                lower=center - half,
+                upper=center + half,
+                gamma=float(gamma),
+                method="PLRM",
+                meta={"kind": "parametric"},
+            )
+        )
+    return bands

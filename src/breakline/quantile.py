@@ -96,8 +96,6 @@ def _solve_check_loss(
     y: np.ndarray,
     tau: float,
     warm_basis: np.ndarray | None = None,
-    pivot_budget: int = _PIVOT_BUDGET,
-    bland_after: int = _BLAND_AFTER,
     ztol: float | None = None,
     trusted_basis: bool = False,
 ) -> QuantileLinearState:
@@ -112,7 +110,7 @@ def _solve_check_loss(
     step, found by walking the residual sign-change breakpoints until the
     running derivative turns nonnegative; the objective strictly decreases
     at every pivot, which rules out cycling.  A shortest-step least-index
-    rule takes over after ``bland_after`` pivots as an extra safeguard, and
+    rule takes over after ``_BLAND_AFTER`` pivots as an extra safeguard, and
     the hard pivot budget backs both.
     """
     n, p = X.shape
@@ -132,7 +130,7 @@ def _solve_check_loss(
     if ztol is None:
         ztol = 1e-11 * (1.0 + float(np.median(np.abs(y))))
 
-    for pivot in range(pivot_budget):
+    for pivot in range(_PIVOT_BUDGET):
         try:
             inv_xh = np.linalg.inv(X[h])
         except np.linalg.LinAlgError:
@@ -178,7 +176,7 @@ def _solve_check_loss(
                 pivots=pivot,
             )
 
-        bland = pivot >= bland_after
+        bland = pivot >= _BLAND_AFTER
         candidates = np.nonzero(viol > opt_tol)[0]
         if bland:
             j_pos = int(candidates[0])  # h is kept sorted: least point index
@@ -221,7 +219,7 @@ def _solve_check_loss(
         h.sort()
 
     raise PivotLimitError(
-        f"check-loss simplex exceeded {pivot_budget} pivots (anti-cycling rule engaged)"
+        f"check-loss simplex exceeded {_PIVOT_BUDGET} pivots (anti-cycling rule engaged)"
     )
 
 

@@ -207,7 +207,7 @@ def test_c07_band_area_correctness():
     ls = bl.fit_segmented(ds)
     bands = [
         bl.bootstrap_band(ds, bl.ols_line_fitter, bl.BandConfig(B=200, gamma=0.8, rng=bl.RngSpec(1))),
-        bl.plrm_prediction_band(ls, ds, 0.8),
+        *bl.plrm_prediction_band(ls, ds, [0.8]),
     ]
     q_fits = {t: fit_segmented_quantile(ds, t, init=ls.model) for t in (0.1, 0.5, 0.9)}
     bands.append(bl.pqrm_prediction_band(q_fits[0.1], q_fits[0.5], q_fits[0.9], ds))
@@ -270,7 +270,7 @@ def test_c09_method_comparison_tendency():
         interval_wins += table.alpha2_width < pl_width
         by_tau = {round(f.tau, 2): f for f in fits}
         pq_band = bl.pqrm_prediction_band(by_tau[0.1], by_tau[0.5], by_tau[0.9], ds)
-        pl_band = bl.plrm_prediction_band(ls, ds, 0.80)
+        (pl_band,) = bl.plrm_prediction_band(ls, ds, [0.80])
         area_wins += bl.band_area(pq_band) < bl.band_area(pl_band)
     ok = interval_wins >= 0.6 * seeds and area_wins >= 0.6 * seeds
     _line(

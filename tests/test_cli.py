@@ -202,3 +202,121 @@ def test_format_restriction(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert "fit_report.json" in names and "summary.json" in names
     assert not any(n.endswith(".csv") or n.endswith(".svg") for n in names)
+
+
+def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
+    import breakline.piecewise as piecewise
+
+    refits = []
+    factory = piecewise.segmented_fitter
+
+    def counting_factory(*args, **kwargs):
+        fitter = factory(*args, **kwargs)
+
+        def counted(xs, ys):
+            refits.append(1)
+            return fitter(xs, ys)
+
+        return counted
+
+    monkeypatch.setattr(piecewise, "segmented_fitter", counting_factory)
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=10, n=40)
+    outs = []
+    for name in ("boot_a", "boot_b"):
+        out = tmp_path / name
+        refits.clear()
+        code = main(
+            [
+                "plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--band-method", "bootstrap",
+                "--bootstrap", "40", "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert len(refits) == 40 + 1  # the center fit and one refit per replicate, for both gammas
+        outs.append(out)
+    assert _dir_digest(outs[0]) == _dir_digest(outs[1])
+
+    def band(name):
+        rows = list(csv.DictReader((outs[0] / name).read_text().splitlines()[1:]))  # after the JSON header
+        return np.array([[float(r["lower"]), float(r["upper"])] for r in rows])
+
+    b80, b95 = band("band_gamma080.csv"), band("band_gamma095.csv")
+    assert np.all(b95[:, 0] <= b80[:, 0]) and np.all(b80[:, 1] <= b95[:, 1])
+
+
+# every subcommand's options as the parser defined them before the shared flag
+# blocks: option -> (default, type, help, other settings)
+_DATASET_FLAGS = {
+    "--input": (None, None, "CSV file with a header row", {"required": True}),
+    "--x": (None, None, "predictor column name", {"required": True}),
+    "--y": (None, None, "response column name", {"required": True}),
+    "--label": (None, None, "optional group label column", {}),
+    "--x-transform": ("identity", None, "identity | log10 | affine:a,b", {}),
+    "--y-transform": ("identity", None, "identity | log10 | affine:a,b", {}),
+}
+_COMMON_FLAGS = {
+    "--out": (None, None, "output directory", {"required": True}),
+    "--format": (None, None, "comma list from json,csv,svg (default all)", {}),
+    "--seed": (0, int, None, {}),
+    "--grid-cells": (10000, int, "cells for band-area grids", {}),
+}
+_LOESS_FLAGS = {
+    "--span": (0.75, float, None, {}),
+    "--degree": (2, int, None, {}),
+    "--robust-iters": (4, int, None, {}),
+}
+_BOOTSTRAP = {"--bootstrap": (10000, int, None, {"metavar": "B"})}
+_MIN_SEG = {"--min-seg-points": (3, int, None, {})}
+_TAU_GRID = {"--tau-grid": (None, None, "comma list, default 0.1,...,0.9", {})}
+PARSER_TABLE = {
+    "synth": {
+        "--truth-beta": ("10,0,-5,5", None, "b0,b1,b2,b3", {}),
+        "--truth-alpha": ("0.3,0.6", None, "a1,a2", {}),
+        "--n": (100, int, None, {}),
+        "--x-range": ("0,1", None, None, {}),
+        "--noise": ("gaussian:0.5", None, "gaussian:sigma | wedge:sigma0,c", {}),
+        "--x-name": ("x", None, None, {}),
+        "--y-name": ("y", None, None, {}),
+        **_COMMON_FLAGS,
+    },
+    "loess-band": {
+        **_DATASET_FLAGS, **_LOESS_FLAGS, **_BOOTSTRAP,
+        "--gamma": (None, float, "default: both 0.80 and 0.95", {}),
+        **_COMMON_FLAGS,
+    },
+    "plrm": {
+        **_DATASET_FLAGS, **_MIN_SEG,
+        "--gamma": (None, float, "default: both 0.80 and 0.95", {}),
+        "--band-method": ("parametric", None, None, {"choices": ["parametric", "bootstrap"]}),
+        **_BOOTSTRAP, **_COMMON_FLAGS,
+    },
+    "pqrm": {
+        **_DATASET_FLAGS, **_MIN_SEG, **_TAU_GRID,
+        "--gamma": (None, float, "band coefficient, default 0.80", {}),
+        **_COMMON_FLAGS,
+    },
+    "compare": {
+        **_DATASET_FLAGS, **_LOESS_FLAGS, **_BOOTSTRAP, **_MIN_SEG, **_TAU_GRID,
+        "--gamma": (None, float, "default 0.80", {}),
+        **_COMMON_FLAGS,
+    },
+}
+
+
+def test_parser_flags_are_unchanged():
+    import argparse
+
+    from breakline.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(PARSER_TABLE)
+    for command, expected in PARSER_TABLE.items():
+        actual = {}
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            extra = {k: getattr(action, k) for k in ("required", "metavar", "choices") if getattr(action, k)}
+            actual[action.option_strings[0]] = (action.default, action.type, action.help, extra)
+            assert action.option_strings == [action.option_strings[0]], (command, action.option_strings)
+        assert actual == expected, command

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from breakline.bands import BandConfig
+from breakline.bands import BandConfig, BootstrapError
 from breakline.dataset import BivariateDataset
 from breakline.piecewise import (
     SegmentedError,
@@ -360,14 +360,14 @@ def test_band_zero_noise_collapses():
     xs = np.linspace(0, 1, 60)
     ds = BivariateDataset.from_arrays(xs, eval_segmented(TRUTH, xs))
     fit = fit_segmented(ds)
-    band = plrm_prediction_band(fit, ds, 0.80)
+    (band,) = plrm_prediction_band(fit, ds, [0.80])
     assert np.max(band.upper - band.lower) < 1e-5
 
 
 def test_band_wider_at_sparse_edges():
     ds = _noisy(n=80, sigma=0.5, seed=6)
     fit = fit_segmented(ds)
-    band = plrm_prediction_band(fit, ds, 0.80)
+    (band,) = plrm_prediction_band(fit, ds, [0.80])
     half = band.upper - band.lower
     mid = len(half) // 2
     assert half[0] > half[mid]
@@ -377,19 +377,25 @@ def test_band_wider_at_sparse_edges():
 def test_band_gamma_monotonicity():
     ds = _noisy(n=60, sigma=0.5, seed=7)
     fit = fit_segmented(ds)
-    b80 = plrm_prediction_band(fit, ds, 0.80)
-    b95 = plrm_prediction_band(fit, ds, 0.95)
+    (b80,) = plrm_prediction_band(fit, ds, [0.80])
+    (b95,) = plrm_prediction_band(fit, ds, [0.95])
     assert np.all(b95.upper - b95.lower > b80.upper - b80.lower)
 
 
 def test_band_bootstrap_switch():
     ds = _noisy(n=30, sigma=0.5, seed=8)
     fit = fit_segmented(ds)
-    band = plrm_prediction_band(
-        fit, ds, 0.80, bootstrap_config=BandConfig(B=30, gamma=0.80, rng=RngSpec(1)), force_bootstrap=True
-    )
+    small = BandConfig(B=30, gamma=0.80, rng=RngSpec(1))
+    (band,) = plrm_prediction_band(fit, ds, [0.80], bootstrap_config=small, force_bootstrap=True)
     assert band.meta.get("bootstrap_fallback") is True
     assert np.all(band.lower <= band.upper)
+    # both coefficients are read off one replicate pool, so the bands nest
+    config = BandConfig(B=40, gamma=0.95, rng=RngSpec(1))
+    b80, b95 = plrm_prediction_band(fit, ds, [0.80, 0.95], bootstrap_config=config, force_bootstrap=True)
+    assert np.all(b95.lower <= b80.lower) and np.all(b80.upper <= b95.upper)
+    # B = 30 is too few for 0.95, whichever gamma the config names
+    with pytest.raises(BootstrapError, match="too small"):
+        plrm_prediction_band(fit, ds, [0.80, 0.95], bootstrap_config=small, force_bootstrap=True)
 
 
 def test_preconditions():
