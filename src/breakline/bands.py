@@ -7,8 +7,12 @@ residuals and resample them a second time, and (4) record the predicted
 residual ``fitted - refit + resampled``.  Pointwise empirical quantiles of the
 predicted residuals, added back to the fitted curve, give the band.
 
-A "fitter" here is any function mapping ``(xs, ys) -> fitted values at xs``;
-the scheme works for parametric and nonparametric mean models alike.
+A "fitter" maps ``(xs, Y) -> fitted``, where ``Y`` holds one response per
+row, shape ``(b, n)``, and ``fitted`` has the same shape: row ``i`` is the
+fitted mean at ``xs`` for the responses ``Y[i]``.  The design is fixed across
+replicates, so a fitter does its work that depends on x alone once per call.
+A fitter that cannot fit some row raises a ``ValueError`` for the whole
+block.  The scheme works for parametric and nonparametric mean models alike.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .dataset import BivariateDataset
 from .rng import RngSpec
 
 _MAX_RETRIES = 10
+# replicates per fitter call; a block's responses and fits are (_BLOCK, n)
+_BLOCK = 64
 
 
 class BootstrapError(RuntimeError):
@@ -74,40 +80,62 @@ class PredictionBand:
             raise ValueError("grid_x, center, lower, upper must share one shape")
 
 
+def _fit_block(fitter, xs, Y) -> np.ndarray:
+    fitted = np.asarray(fitter(xs, Y), dtype=float)
+    if fitted.shape != Y.shape:
+        raise BootstrapError("fitter must return one fitted value per observation")
+    return fitted
+
+
 def predicted_residual_pool(ds: BivariateDataset, fitter, config: BandConfig):
     """Run the resampling loop once; returns (center, pool of shape (B, n)).
 
-    A replicate whose refit raises a ``ValueError`` (the fitters' error types
-    and numpy's ``LinAlgError`` derive from it) is retried with fresh residual
-    draws up to 10 times, after which the whole run aborts naming the
-    replicate.  Any other exception propagates unchanged.
+    The center fit is a block of one and the replicates go to the fitter in
+    blocks of ``_BLOCK``.  Replicate ``b`` draws from its own stream, in the
+    same order whatever the blocking: its first residual draw, then one
+    fresh draw per retry, then the second draw.  When a block raises a
+    ``ValueError`` (the fitters' error types and numpy's ``LinAlgError``
+    derive from it) its replicates are refit one at a time, and a replicate
+    whose refit still fails is retried with fresh residual draws up to 10
+    times, after which the whole run aborts naming the replicate.  Any other
+    exception propagates unchanged.
     """
     xs, ys = ds.xs, ds.ys
     n = ds.n
-    center = np.asarray(fitter(xs, ys), dtype=float)
-    if center.shape != ys.shape:
-        raise BootstrapError("fitter must return one fitted value per observation")
+    center = _fit_block(fitter, xs, ys[None, :])[0]
     resid = ys - center
     centered = resid - resid.mean()
     pool = np.empty((config.B, n))
-    for b in range(config.B):
-        gen = config.rng.stream(b)
-        refit = None
-        for _ in range(1 + _MAX_RETRIES):
-            draw = gen.integers(0, n, size=n)
-            y_star = center + centered[draw]
-            try:
-                refit = np.asarray(fitter(xs, y_star), dtype=float)
-                break
-            except ValueError:
-                continue
-        if refit is None:
-            raise BootstrapError(f"model fitter failed for replicate {b} after {_MAX_RETRIES} retries")
-        e_star = y_star - refit
-        e_centered = e_star - e_star.mean()
-        draw2 = gen.integers(0, n, size=n)
-        pool[b] = center - refit + e_centered[draw2]
+    for start in range(0, config.B, _BLOCK):
+        reps = range(start, min(start + _BLOCK, config.B))
+        gens = [config.rng.stream(b) for b in reps]
+        Y = np.array([center + centered[gen.integers(0, n, size=n)] for gen in gens])
+        try:
+            refits = _fit_block(fitter, xs, Y)
+        except ValueError:
+            refits = np.empty_like(Y)
+            for i, (b, gen) in enumerate(zip(reps, gens)):
+                Y[i], refits[i] = _refit_one(fitter, xs, Y[i], center, centered, gen, b)
+        for b, gen, y_star, refit in zip(reps, gens, Y, refits):
+            e_star = y_star - refit
+            e_centered = e_star - e_star.mean()
+            draw2 = gen.integers(0, n, size=n)
+            pool[b] = center - refit + e_centered[draw2]
     return center, pool
+
+
+def _refit_one(fitter, xs, y_star, center, centered, gen, b):
+    """One replicate's refit, retried with fresh draws from its stream on a
+    ``ValueError``; returns the response that fit and its fitted values."""
+    n = xs.size
+    for attempt in range(1 + _MAX_RETRIES):
+        if attempt:
+            y_star = center + centered[gen.integers(0, n, size=n)]
+        try:
+            return y_star, _fit_block(fitter, xs, y_star[None, :])[0]
+        except ValueError:
+            continue
+    raise BootstrapError(f"model fitter failed for replicate {b} after {_MAX_RETRIES} retries")
 
 
 def band_from_pool(ds: BivariateDataset, center, pool, gamma, method="", meta=None) -> PredictionBand:
@@ -147,8 +175,11 @@ def bootstrap_band(ds: BivariateDataset, fitter, config: BandConfig, method="") 
     return bootstrap_bands(ds, fitter, config, [config.gamma], method=method)[0]
 
 
-def ols_line_fitter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Least-squares straight line, in the fitter signature used above."""
-    design = np.column_stack([np.ones_like(xs), xs])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return design @ coef
+def ols_line_fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Least-squares straight line of each row of ``Y``, in the block fitter
+    contract above: one projection onto the orthonormal basis of the design."""
+    Q, _ = np.linalg.qr(np.column_stack([np.ones_like(xs), xs]))
+    q0, q1 = Q.T.copy()
+    Y = np.asarray(Y, dtype=float)
+    # row sums of elementwise products, so each row's fit ignores the others
+    return (Y * q0).sum(axis=1)[:, None] * q0 + (Y * q1).sum(axis=1)[:, None] * q1

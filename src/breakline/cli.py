@@ -245,7 +245,7 @@ def cmd_plrm(args, out: _Outputs) -> int:
         )
     gammas = _gammas(args)
     force_bootstrap = args.band_method == "bootstrap"
-    bands = plrm_prediction_band(fit, ds, gammas, _band_config(args, max(gammas)), force_bootstrap)
+    bands = plrm_prediction_band(fit, ds, gammas, args.bootstrap, args.seed, force_bootstrap)
     areas = _area_and_emit(out, bands, args, formats)
     ci95 = breakpoint_intervals(fit, 0.95)
     title = "piecewise linear fit with prediction bands"
@@ -337,12 +337,10 @@ def cmd_compare(args, out: _Outputs) -> int:
     formats = _formats(args)
     (gamma,) = _gammas(args, (0.80,))
     taus = _taus(args)
-    fitter = _loess_fitter(args)
-    band_config = _band_config(args, gamma)
     # the pool's center fit runs first, so loess errors surface before the slow part
-    (bl_band,) = bootstrap_bands(ds, fitter, band_config, [gamma], method="BL")
+    (bl_band,) = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, gamma), [gamma], method="BL")
     ls_fit, _, table, pq_band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
-    (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], bootstrap_config=band_config)
+    (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], args.bootstrap, args.seed)
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")
 

@@ -87,30 +87,140 @@ def tricube_weights(distances: np.ndarray, d_max: float) -> np.ndarray:
     return (1.0 - u**3) ** 3
 
 
-def _local_value(xs, ys, delta, x0, k, degree):
-    """One weighted local polynomial fit, evaluated at x0."""
-    d = np.abs(xs - x0)
-    d_k = np.partition(d, k - 1)[k - 1]
-    idx = np.nonzero(d <= d_k)[0]  # boundary ties are all included
-    if d_k == 0.0:
-        # Every neighbor sits at the target; the kernel would be 0/0.
-        w = delta[idx]
-        if w.sum() <= 0.0:
-            return float(np.mean(ys[idx]))
-        return float(np.average(ys[idx], weights=w))
-    w = tricube_weights(d[idx], d_k) * delta[idx]
-    positive = w > 0.0
-    if np.unique(xs[idx][positive]).size < degree + 1:
-        raise SingularFitError(x0)
-    t = xs[idx] - x0
-    basis = np.vander(t, degree + 1, increasing=True)
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(basis * sw[:, None], ys[idx] * sw, rcond=None)
-    return float(coef[0])
+class _Neighbourhoods:
+    """The part of a smoothing pass that depends on x alone.
+
+    Target ``x0``'s neighbourhood is every point within ``d_k``, its k-th
+    smallest distance to the data (boundary ties are all included).  The
+    points at distance ``d_k`` get tricube weight 0, so a local fit runs
+    over the points closer than ``d_k``: a contiguous run of the sorted
+    ``xs``, padded here with zero weights to one width ``K``.  Offsets are
+    scaled by ``d_k`` into [-1, 1].  Where ``d_k == 0`` every neighbour sits
+    at the target and the kernel would be 0/0; those targets average their
+    tied points instead.
+    """
+
+    def __init__(self, xs: np.ndarray, targets: np.ndarray, k: int, degree: int):
+        n = xs.size
+        self.targets, self.degree = targets, degree
+        d = np.abs(xs[None, :] - targets[:, None])
+        d_k = np.partition(d, k - 1, axis=1)[:, k - 1]
+        near = d < d_k[:, None]
+        count = near.sum(axis=1)
+        j = np.arange(max(int(count.max()), 1))
+        self.idx = np.minimum(np.argmax(near, axis=1)[:, None] + j, n - 1)
+        valid = j < count[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tw = np.where(valid, tricube_weights(np.take_along_axis(d, self.idx, axis=1), d_k[:, None]), 0.0)
+            t = np.where(valid, (xs[self.idx] - targets[:, None]) / d_k[:, None], 0.0)
+        # tricube weight times the offset's powers 0 .. 2 degree, the terms
+        # of the local normal equations, laid out (power, neighbour, target, 1)
+        twp = [tw]
+        for _ in range(2 * degree):
+            twp.append(twp[-1] * t)
+        self.twp = np.stack(twp).transpose(0, 2, 1)[..., None].copy()
+        # the moment sums under unit robustness weights, the same for every row
+        self.unit_moments = self.twp.sum(axis=1)
+        # index of each neighbour's distinct x value, nondecreasing along a row
+        self.group = np.searchsorted(np.unique(xs), xs)[self.idx]
+        self.valid = valid
+        self.distinct = self._distinct(valid)
+        self.ties = [(i, np.nonzero(d[i] == 0.0)[0]) for i in np.nonzero(d_k == 0.0)[0]]
+        self.fit_at = d_k > 0.0
+
+    def _distinct(self, positive: np.ndarray) -> np.ndarray:
+        """Distinct x values among the neighbours flagged positive, per target."""
+        g = np.where(positive, self.group, -1)
+        seen = np.maximum.accumulate(g, axis=1)
+        return positive[:, 0] + np.sum(positive[:, 1:] & (g[:, 1:] > seen[:, :-1]), axis=1)
+
+    def check(self, delta: np.ndarray | None) -> None:
+        """Raise :class:`SingularFitError` at the first target whose local fit
+        puts positive weight on fewer than ``degree + 1`` distinct x values,
+        for the first row of robustness weights ``delta`` (b, n) that has one
+        (None: unit weights)."""
+        need = self.degree + 1
+        bad = self.fit_at & (self.distinct < need)
+        if bad.any():
+            raise SingularFitError(self.targets[np.argmax(bad)])
+        if delta is None:
+            return
+        for row in delta[(delta == 0.0).any(axis=1)]:
+            bad = self.fit_at & (self._distinct(self.valid & (row[self.idx] > 0.0)) < need)
+            if bad.any():
+                raise SingularFitError(self.targets[np.argmax(bad)])
 
 
-def _smooth(xs, ys, delta, targets, k, degree):
-    return np.array([_local_value(xs, ys, delta, x0, k, degree) for x0 in targets])
+def _smooth(nb: _Neighbourhoods, Y: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
+    """One weighted local polynomial fit per target and row: fitted values
+    at ``nb.targets`` for responses ``Y`` (b, n) under robustness weights
+    ``delta`` (b, n; None for unit weights), shape (b, targets).
+
+    Each row is computed with elementwise operations and sums along its own
+    axis only, so it comes out the same whatever block it is in."""
+    nb.check(delta)
+    degree = nb.degree
+    m, b = nb.targets.size, Y.shape[0]
+    # (n, b) layout: a neighbour's values for every row are one gathered row
+    dyT = (Y if delta is None else delta * Y).T.copy()
+    T = np.zeros((degree + 1, m, b))
+    if delta is None:
+        S = nb.unit_moments
+    else:
+        dT = delta.T.copy()
+        S = np.zeros((2 * degree + 1, m, b))
+    for j, cols in enumerate(nb.idx.T):
+        dyj = dyT[cols]
+        for p in range(degree + 1):
+            T[p] += dyj * nb.twp[p, j]
+        if delta is not None:
+            dj = dT[cols]
+            for p in range(2 * degree + 1):
+                S[p] += dj * nb.twp[p, j]
+    # the local normal equations sum_j w t^(i+j) c_j = sum_j w t^i y, with
+    # the higher coefficients eliminated down to c_0, the value at the target
+    A = [[S[i + j] for j in range(degree + 1)] for i in range(degree + 1)]
+    r = list(T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(degree, 0, -1):
+            for i in range(k):
+                f = A[i][k] / A[k][k]
+                for j in range(k):
+                    A[i][j] = A[i][j] - f * A[k][j]
+                r[i] = r[i] - f * r[k]
+        fitted = (r[0] / A[0][0]).T.copy()
+    for i, tied in nb.ties:
+        w = np.ones((b, tied.size)) if delta is None else delta[:, tied]
+        total = w.sum(axis=1)
+        fitted[:, i] = np.where(
+            total > 0.0,
+            (Y[:, tied] * w).sum(axis=1) / np.where(total > 0.0, total, 1.0),
+            Y[:, tied].mean(axis=1),
+        )
+    return fitted
+
+
+def _fit_rows(xs: np.ndarray, Y: np.ndarray, config: "LoessConfig"):
+    """Fitted values and final robustness weights for each row of ``Y``
+    (b, n) on the sorted design ``xs``; the robustness passes stop per row."""
+    n = xs.size
+    if n < config.degree + 2:
+        raise LoessError(f"need at least degree + 2 = {config.degree + 2} points, got {n}")
+    nb = _Neighbourhoods(xs, xs, config.neighborhood_size(n), config.degree)
+    fitted = _smooth(nb, Y)
+    delta = np.ones_like(Y)
+    scale_floor = 1e-12 * (1.0 + np.median(np.abs(Y), axis=1))
+    active = np.ones(Y.shape[0], dtype=bool)
+    for _ in range(config.robust_iterations):
+        resid = Y - fitted
+        s = np.median(np.abs(resid), axis=1)
+        active &= s > scale_floor
+        if not active.any():
+            break
+        u = np.clip(resid[active] / (6.0 * s[active, None]), -1.0, 1.0)
+        delta[active] = (1.0 - u * u) ** 2
+        fitted[active] = _smooth(nb, Y[active], delta[active])
+    return fitted, delta
 
 
 def fit_loess(ds: BivariateDataset, config: LoessConfig = LoessConfig()) -> LoessFit:
@@ -127,26 +237,12 @@ def fit_loess(ds: BivariateDataset, config: LoessConfig = LoessConfig()) -> Loes
         If some neighborhood puts positive weight on fewer distinct x values
         than ``degree + 1``.
     """
-    n = ds.n
-    if n < config.degree + 2:
-        raise LoessError(f"need at least degree + 2 = {config.degree + 2} points, got {n}")
-    k = config.neighborhood_size(n)
-    xs, ys = ds.xs, ds.ys
-    delta = np.ones(n)
-    fitted = _smooth(xs, ys, delta, xs, k, config.degree)
-    scale_floor = 1e-12 * (1.0 + float(np.median(np.abs(ys))))
-    for _ in range(config.robust_iterations):
-        resid = ys - fitted
-        s = float(np.median(np.abs(resid)))
-        if s <= scale_floor:
-            break
-        u = np.clip(resid / (6.0 * s), -1.0, 1.0)
-        delta = (1.0 - u * u) ** 2
-        fitted = _smooth(xs, ys, delta, xs, k, config.degree)
+    fitted, delta = _fit_rows(ds.xs, ds.ys[None, :], config)
+    fitted, delta = fitted[0], delta[0]
     return LoessFit(
         config=config,
         fitted=fitted,
-        residuals=ys - fitted,
+        residuals=ds.ys - fitted,
         robustness_weights=delta,
     )
 
@@ -162,19 +258,25 @@ def predict_loess(fit: LoessFit, ds: BivariateDataset, grid) -> np.ndarray:
     if np.any(grid < lo) or np.any(grid > hi):
         bad = grid[(grid < lo) | (grid > hi)][0]
         raise ExtrapolationError(f"grid point {bad!r} outside the observed range [{lo!r}, {hi!r}]")
-    k = fit.config.neighborhood_size(ds.n)
-    return _smooth(ds.xs, ds.ys, fit.robustness_weights, grid, k, fit.config.degree)
+    nb = _Neighbourhoods(ds.xs, grid, fit.config.neighborhood_size(ds.n), fit.config.degree)
+    # unit weights mean no robustness pass ran: the fit used the unit-weight path
+    delta = fit.robustness_weights
+    return _smooth(nb, ds.ys[None, :], None if np.all(delta == 1.0) else delta[None, :])[0]
 
 
 def loess_fitter(config: LoessConfig = LoessConfig()):
-    """Adapter with the mean-model fitter signature used by the bootstrap.
+    """Adapter with the block fitter contract of :mod:`breakline.bands`:
+    ``(xs, Y) -> fitted``, one row of fitted values at xs per row of ``Y``.
 
-    Returns a function mapping ``(xs, ys) -> fitted values at xs``.
+    :func:`fit_loess` runs the same code on a block of one, so a row's fit
+    does not depend on the block it is in.  A block raises
+    :class:`SingularFitError` when any of its rows would.
     """
 
-    def fitter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        ds = BivariateDataset.from_arrays(xs, ys)
-        return fit_loess(ds, config).fitted
+    def fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        order = np.argsort(xs, kind="stable")
+        fitted = np.empty_like(Y, dtype=float)
+        fitted[:, order] = _fit_rows(xs[order], np.asarray(Y, dtype=float)[:, order], config)[0]
+        return fitted
 
     return fitter
-

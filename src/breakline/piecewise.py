@@ -34,6 +34,7 @@ from scipy import stats
 # bootstrap_band is unused here; perfbench/tracing.py patches it by name
 from .bands import BandConfig, PredictionBand, bootstrap_band, bootstrap_bands  # noqa: F401
 from .dataset import BivariateDataset
+from .rng import RngSpec
 
 
 class SegmentedError(ValueError):
@@ -93,25 +94,24 @@ def _theta_jacobian(xs, theta):
     )
 
 
-class _SuffixSums:
-    """Right-tail power sums of a sorted design: the sums over the points
-    from sorted index ``p`` on are ``suf*[p]``."""
+def _suffix(values):
+    """Right-tail sums: entry ``p`` sums the values from sorted index ``p``
+    on, and the last entry is 0."""
+    return np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
+
+
+class _ResponseSums:
+    """Right-tail sums of one centred response on the standardised design of
+    a :class:`_BreakpointProfile`: the y half of its power sums."""
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.n = xs.size
-
-        def suffix(values):
-            return np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
-
-        self.suf1 = suffix(xs)
-        self.suf2 = suffix(xs * xs)
-        self.sufy = suffix(ys)
-        self.sufxy = suffix(xs * ys)
-        self.Sx = float(self.suf1[0])
-        self.Sxx = float(self.suf2[0])
+        self.sufy = _suffix(ys)
+        self.sufxy = _suffix(xs * ys)
         self.Sy = float(self.sufy[0])
         self.Sxy = float(self.sufxy[0])
         self.Syy = float(np.sum(ys * ys))
+        # near-ties of RSS values: a fraction of the centred total sum of squares
+        self.tie = 1e-12 * self.Syy
 
 
 def profile_inner_ols(xs: np.ndarray, ys: np.ndarray, a1: float, a2: float):
@@ -212,6 +212,34 @@ def _t_row(name, est, se, df, level=0.95) -> InferenceRow:
     return InferenceRow(name, est, se, t, p, est - tq * se, est + tq * se)
 
 
+def _design_profile(xs: np.ndarray, min_segment_points: int) -> _BreakpointProfile:
+    """The checks on a sorted x design and the x-only part of every fit on it."""
+    n = xs.size
+    min_pts = int(min_segment_points)
+    if min_pts < 2:
+        raise SegmentedError("min_segment_points must be at least 2")
+    if n < 7:
+        raise SegmentedError(f"need at least 7 points for 6 parameters, got {n}")
+    if n < 3 * min_pts:
+        raise SegmentedError(f"need at least {3 * min_pts} points for {min_pts} per segment, got {n}")
+    if np.unique(xs).size < 6:
+        raise SegmentedError("need at least 6 distinct x values")
+    profile = _BreakpointProfile(xs, min_pts)
+    if not profile.admissible.any():
+        raise SegmentedError(
+            f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
+        )
+    return profile
+
+
+def _least_squares(profile: _BreakpointProfile, xs: np.ndarray, ys: np.ndarray):
+    """The exact least-squares model of one response on the profile's
+    design: ``(model, beta, rss)``, from one conditional solve at the pair."""
+    a1, a2 = profile.least_squares_pair(profile.response(ys))
+    beta, rss = profile_inner_ols(xs, ys, a1, a2)
+    return SegmentedModel(beta=tuple(float(b) for b in beta), alpha=(a1, a2)), beta, rss
+
+
 def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> SegmentedFit:
     """Fit the two-breakpoint model by exact least squares.
 
@@ -231,27 +259,11 @@ def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> Segmente
         problem at every admissible pair.
     """
     n = ds.n
-    min_pts = int(min_segment_points)
-    if min_pts < 2:
-        raise SegmentedError("min_segment_points must be at least 2")
-    if n < 7:
-        raise SegmentedError(f"need at least 7 points for 6 parameters, got {n}")
-    if n < 3 * min_pts:
-        raise SegmentedError(f"need at least {3 * min_pts} points for {min_pts} per segment, got {n}")
     xs, ys = ds.xs, ds.ys
-    if np.unique(xs).size < 6:
-        raise SegmentedError("need at least 6 distinct x values")
+    profile = _design_profile(xs, min_segment_points)
+    model, beta, rss = _least_squares(profile, xs, ys)
+    theta_best = np.concatenate([beta, model.alpha])
 
-    profile = _BreakpointProfile(xs, ys, min_pts)
-    if not profile.admissible.any():
-        raise SegmentedError(
-            f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
-        )
-    a1, a2 = profile.least_squares_pair()
-    beta, rss = profile_inner_ols(xs, ys, a1, a2)
-    theta_best = np.concatenate([beta, [a1, a2]])
-
-    model = SegmentedModel(beta=tuple(float(b) for b in beta), alpha=(a1, a2))
     df = n - 6
     sigma2 = rss / df
 
@@ -301,7 +313,7 @@ def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> Segmente
         cov=cov,
         inference=inference,
         n=n,
-        min_segment_points=min_pts,
+        min_segment_points=int(min_segment_points),
         cov_pd=cov_pd,
         xs=xs,
         ys=ys,
@@ -321,16 +333,89 @@ def contrast_inference(fit: SegmentedFit, contrast, name: str = "contrast") -> I
     return _t_row(name, est, se, fit.df)
 
 
-def _lines(n, sx, sxx, sy, sxy):
-    """Least-squares line of each group of points from its power sums:
-    ``(slope, intercept, explained)``, where ``explained`` is the sum of
-    squares of the fitted values.  Groups with fewer than two distinct x
+class _Lines:
+    """Least-squares lines of groups of points from their power sums.  The
+    x sums are fixed at construction; :meth:`fit` takes the y sums and
+    returns ``(slope, intercept, explained)``, where ``explained`` is the sum
+    of squares of the fitted values.  Groups with fewer than two distinct x
     values give non-finite or meaningless values; callers mask them."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xbar, ybar = sx / n, sy / n
-        sxy_c = sxy - sx * ybar
-        slope = sxy_c / (sxx - sx * xbar)
-        return slope, ybar - slope * xbar, sy * ybar + slope * sxy_c
+
+    def __init__(self, n, sx, sxx):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.n, self.sx = n, sx
+            self.xbar = sx / n
+            self.sxx_c = sxx - sx * self.xbar
+
+    def fit(self, sy, sxy):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ybar = sy / self.n
+            sxy_c = sxy - self.sx * ybar
+            slope = sxy_c / self.sxx_c
+            return slope, ybar - slope * self.xbar, sy * ybar + slope * sxy_c
+
+
+class _Partners:
+    """The part of :meth:`_BreakpointProfile.rss` that depends on x alone, for
+    standardised positions ``t`` of breakpoint ``which`` (0 or 1, per point)
+    lying in cells ``cell``: the partner cells admissible with each, and the
+    base and partner-hinge cross products partialled through the base Gram
+    matrix of each distinct position."""
+
+    def __init__(self, profile: "_BreakpointProfile", which, t, cell):
+        cell = np.asarray(cell)
+        self.partners = np.where(
+            np.asarray(which)[:, None] == 0, profile.admissible[cell, :], profile.admissible[:, cell].T
+        )
+        # (x - t)+ is the same column whichever side of t a point at t is
+        # counted on, so the cell only matters through the partner set and
+        # each distinct position is solved once
+        t, first, self.back = np.unique(np.asarray(t, dtype=float), return_index=True, return_inverse=True)
+        n = profile.n
+
+        # base columns (1, x, (x - t)+) of every position
+        p = profile.q[cell[first]]
+        n_tail, s1, s2 = n - p, profile.suf1[p], profile.suf2[p]
+        G = np.empty((t.size, 3, 3))
+        G[:, 0, 0], G[:, 0, 1], G[:, 1, 1] = n, profile.Sx, profile.Sxx
+        G[:, 0, 2] = s1 - t * n_tail
+        G[:, 1, 2] = s2 - t * s1
+        G[:, 2, 2] = s2 - 2.0 * t * s1 + t * t * n_tail
+        G[:, 1, 0], G[:, 2, 0], G[:, 2, 1] = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
+        d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+        base_ok = np.all(d > 0.0, axis=1)
+        d[~base_ok] = 1.0
+        base_ok &= np.abs(np.linalg.det(G / (d[:, :, None] * d[:, None, :]))) > 1e-13
+        G[~base_ok] = np.eye(3)
+        self.t, self.p, self.base_ok, self.G_inv = t, p, base_ok, np.linalg.inv(G)
+
+        # partner columns (x*I, I) of every cell k, with I the points above
+        # it: their Gram entries, and their cross products with the base
+        # columns partialled through G^-1
+        qk = profile.q
+        k0, k1, k2 = n - qk, profile.suf1[qk], profile.suf2[qk]
+        r = np.maximum(p[:, None], qk[None, :])
+        tt = t[:, None]
+        cross_x = (k1, k2, profile.suf2[r] - tt * profile.suf1[r])
+        cross_1 = (k0, k1, profile.suf1[r] - tt * (n - r))
+        gi = [[self.G_inv[:, i, j, None] for j in range(3)] for i in range(3)]
+        hx = [gi[i][0] * cross_x[0] + gi[i][1] * cross_x[1] + gi[i][2] * cross_x[2] for i in range(3)]
+        h1 = [gi[i][0] * cross_1[0] + gi[i][1] * cross_1[1] + gi[i][2] * cross_1[2] for i in range(3)]
+        m11 = k2 - (cross_x[0] * hx[0] + cross_x[1] * hx[1] + cross_x[2] * hx[2])
+        m12 = k1 - (cross_1[0] * hx[0] + cross_1[1] * hx[1] + cross_1[2] * hx[2])
+        m22 = k0 - (cross_1[0] * h1[0] + cross_1[1] * h1[1] + cross_1[2] * h1[2])
+        self.hx, self.h1, self.m11, self.m12, self.m22 = hx, h1, m11, m12, m22
+
+        # the denominators of the RSS reductions below: along the partner
+        # hinge at each cell edge s, and of the interior stationary point
+        def quad(s, raw):
+            q = m11 - 2.0 * s * m12 + s * s * m22
+            return q, q > 1e-12 * raw
+
+        self.lo, self.hi = profile.u[:-1], profile.u[1:]
+        self.quad_lo, self.ok_lo = quad(self.lo, k2 - 2.0 * self.lo * k1 + self.lo * self.lo * k0)
+        self.quad_hi, self.ok_hi = quad(self.hi, k2 - 2.0 * self.hi * k1 + self.hi * self.hi * k0)
+        self.det = m11 * m22 - m12 * m12
+        self.det_ok = self.det > 1e-12 * m11 * m22
 
 
 class _BreakpointProfile:
@@ -352,24 +437,38 @@ class _BreakpointProfile:
     is therefore the cell's exact minimum when its ``t`` falls inside the
     cell; otherwise the minimum sits on one of the cell's two edges (Hudson,
     JASA 1966).  Partialling the first three columns out reduces every cell
-    to a 2x2 problem, evaluated for all cells at once from the suffix sums
-    of :class:`_SuffixSums`.
+    to a 2x2 problem, evaluated for all cells at once from suffix sums.
 
     The same argument with both breakpoints free gives the least-squares
     pair (:meth:`least_squares_pair`): inside a pair of cells the model is
     three separate lines, so the minimum over the cell pair is either the
     three-line fit, when its meeting points fall inside the cells, or lies
     on a cell edge, where the profile is exact over the partner.
+
+    An instance holds the work that depends on x alone (the x power sums,
+    the cells, and, built on first use, the partner products at every cell
+    edge and the x sums of every three-line split), so one instance serves
+    every response on the same design; a response enters through
+    :meth:`response`.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, min_pts: int):
+    def __init__(self, xs: np.ndarray, min_pts: int):
+        self.n = xs.size
         self.x0 = float(xs[0])
         self.span = float(xs[-1] - xs[0])
-        self.ss = _SuffixSums((xs - self.x0) / self.span, ys - float(np.mean(ys)))
+        self.std_xs = (xs - self.x0) / self.span
+        self.suf1 = _suffix(self.std_xs)
+        self.suf2 = _suffix(self.std_xs * self.std_xs)
+        self.Sx = float(self.suf1[0])
+        self.Sxx = float(self.suf2[0])
         self.u_orig, self.q, self.admissible = _segment_cells(xs, min_pts)
         self.u = (self.u_orig - self.x0) / self.span
-        # near-ties of RSS values: a fraction of the centred total sum of squares
-        self.tie = 1e-12 * self.ss.Syy
+        self._edges = None
+        self._splits = None
+
+    def response(self, ys: np.ndarray) -> _ResponseSums:
+        """The y sums of one response on this design."""
+        return _ResponseSums(self.std_xs, ys - float(np.mean(ys)))
 
     def cells(self, which: int) -> np.ndarray:
         """Cells holding at least one admissible position of breakpoint ``which``."""
@@ -381,156 +480,124 @@ class _BreakpointProfile:
         cells = self.cells(which)
         return np.repeat(cells, 2), np.column_stack([cells, cells + 1]).ravel()
 
-    def rss(self, which, t, cell):
-        """Profile RSS at standardised positions ``t`` of breakpoint ``which``
-        (0 or 1, per point) lying in cells ``cell``, and the position in x
-        units of the partner breakpoint that attains it: the smallest one
-        whose RSS is within :attr:`tie` of the minimum.  The RSS is +inf and
-        the partner NaN where no admissible partner gives a non-singular
-        inner problem."""
-        ss = self.ss
-        cell = np.asarray(cell)
-        partners = np.where(np.asarray(which)[:, None] == 0, self.admissible[cell, :], self.admissible[:, cell].T)
-        # (x - t)+ is the same column whichever side of t a point at t is
-        # counted on, so the cell only matters through the partner set and
-        # each distinct position is solved once
-        t, first, back = np.unique(np.asarray(t, dtype=float), return_index=True, return_inverse=True)
+    def rss(self, y: _ResponseSums, which, t, cell):
+        """Profile RSS of response ``y`` at standardised positions ``t`` of
+        breakpoint ``which`` (0 or 1, per point) lying in cells ``cell``, and
+        the position in x units of the partner breakpoint that attains it:
+        the smallest one whose RSS is within ``y.tie`` of the minimum.  The
+        RSS is +inf and the partner NaN where no admissible partner gives a
+        non-singular inner problem."""
+        return self._partner_rss(y, _Partners(self, which, t, cell))
 
-        # base columns (1, x, (x - t)+) of every position
-        p = self.q[cell[first]]
-        n_tail, s1, s2 = ss.n - p, ss.suf1[p], ss.suf2[p]
-        G = np.empty((t.size, 3, 3))
-        G[:, 0, 0], G[:, 0, 1], G[:, 1, 1] = ss.n, ss.Sx, ss.Sxx
-        G[:, 0, 2] = s1 - t * n_tail
-        G[:, 1, 2] = s2 - t * s1
-        G[:, 2, 2] = s2 - 2.0 * t * s1 + t * t * n_tail
-        G[:, 1, 0], G[:, 2, 0], G[:, 2, 1] = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
-        w = np.stack([np.full(t.size, ss.Sy), np.full(t.size, ss.Sxy), ss.sufxy[p] - t * ss.sufy[p]], axis=1)
-        d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-        base_ok = np.all(d > 0.0, axis=1)
-        d[~base_ok] = 1.0
-        base_ok &= np.abs(np.linalg.det(G / (d[:, :, None] * d[:, None, :]))) > 1e-13
-        G[~base_ok] = np.eye(3)
-        G_inv = np.linalg.inv(G)
-        rss_base = ss.Syy - np.einsum("ei,eij,ej->e", w, G_inv, w)
-
-        # partner columns (x*I, I) of every cell k, with I the points above
-        # it: their Gram entries, and their cross products with the base
-        # columns partialled through G^-1
-        qk = self.q
-        k0, k1, k2 = ss.n - qk, ss.suf1[qk], ss.suf2[qk]
-        r = np.maximum(p[:, None], qk[None, :])
-        tt = t[:, None]
-        cross_x = (k1, k2, ss.suf2[r] - tt * ss.suf1[r])
-        cross_1 = (k0, k1, ss.suf1[r] - tt * (ss.n - r))
-        gi = [[G_inv[:, i, j, None] for j in range(3)] for i in range(3)]
-        hx = [gi[i][0] * cross_x[0] + gi[i][1] * cross_x[1] + gi[i][2] * cross_x[2] for i in range(3)]
-        h1 = [gi[i][0] * cross_1[0] + gi[i][1] * cross_1[1] + gi[i][2] * cross_1[2] for i in range(3)]
+    def _partner_rss(self, y: _ResponseSums, P: _Partners):
+        t, p, back = P.t, P.p, P.back
+        w = np.stack([np.full(t.size, y.Sy), np.full(t.size, y.Sxy), y.sufxy[p] - t * y.sufy[p]], axis=1)
+        rss_base = y.Syy - np.einsum("ei,eij,ej->e", w, P.G_inv, w)
+        qk, hx, h1 = self.q, P.hx, P.h1
         wc = [w[:, i, None] for i in range(3)]
-        m11 = k2 - (cross_x[0] * hx[0] + cross_x[1] * hx[1] + cross_x[2] * hx[2])
-        m12 = k1 - (cross_1[0] * hx[0] + cross_1[1] * hx[1] + cross_1[2] * hx[2])
-        m22 = k0 - (cross_1[0] * h1[0] + cross_1[1] * h1[1] + cross_1[2] * h1[2])
-        v1 = ss.sufxy[qk] - (wc[0] * hx[0] + wc[1] * hx[1] + wc[2] * hx[2])
-        v2 = ss.sufy[qk] - (wc[0] * h1[0] + wc[1] * h1[1] + wc[2] * h1[2])
+        v1 = y.sufxy[qk] - (wc[0] * hx[0] + wc[1] * hx[1] + wc[2] * hx[2])
+        v2 = y.sufy[qk] - (wc[0] * h1[0] + wc[1] * h1[1] + wc[2] * h1[2])
 
         # RSS reduction (v.dir)^2 / (dir' M dir) along dir = (1, -s): the
         # partner hinge at s; at the two cell edges, and at the interior
         # stationary point when it falls inside the cell
-        def edge_gain(s, raw):
-            quad = m11 - 2.0 * s * m12 + s * s * m22
+        def edge_gain(s, quad, ok):
             with np.errstate(divide="ignore", invalid="ignore"):
                 gain = (v1 - s * v2) ** 2 / quad
-            return np.where(quad > 1e-12 * raw, gain, -np.inf)
+            return np.where(ok, gain, -np.inf)
 
-        lo, hi = self.u[:-1], self.u[1:]
-        det = m11 * m22 - m12 * m12
+        m11, m12, m22, lo, hi = P.m11, P.m12, P.m22, P.lo, P.hi
         with np.errstate(divide="ignore", invalid="ignore"):
             g = m22 * v1 - m12 * v2
             h = m11 * v2 - m12 * v1
             s_star = -h / g
-            full = (m22 * v1 * v1 - 2.0 * m12 * v1 * v2 + m11 * v2 * v2) / det
-        inside = (det > 1e-12 * m11 * m22) & (lo <= s_star) & (s_star <= hi)
+            full = (m22 * v1 * v1 - 2.0 * m12 * v1 * v2 + m11 * v2 * v2) / P.det
+        inside = P.det_ok & (lo <= s_star) & (s_star <= hi)
         # per partner cell, in increasing position: low edge, interior, high edge
-        gain = np.stack(
-            [
-                edge_gain(lo, k2 - 2.0 * lo * k1 + lo * lo * k0),
-                np.where(inside, full, -np.inf),
-                edge_gain(hi, k2 - 2.0 * hi * k1 + hi * hi * k0),
-            ],
-            axis=2,
+        gain = (
+            edge_gain(lo, P.quad_lo, P.ok_lo),
+            np.where(inside, full, -np.inf),
+            edge_gain(hi, P.quad_hi, P.ok_hi),
         )
-        cell_gain = np.where(partners, gain.max(axis=2)[back], -np.inf)
+        cell_gain = np.where(P.partners, np.maximum(np.maximum(gain[0], gain[1]), gain[2])[back], -np.inf)
         best = cell_gain.max(axis=1)
-        tied = (best - self.tie)[:, None]
+        tied = (best - y.tie)[:, None]
         k = np.argmax(cell_gain >= tied, axis=1)
-        spot = np.argmax(gain[back, k] >= tied, axis=1)
+        spot = np.argmax(np.stack([g[back, k] for g in gain], axis=1) >= tied, axis=1)
         partner = np.where(
             spot == 0,
             self.u_orig[k],
             np.where(spot == 2, self.u_orig[k + 1], self.x0 + self.span * s_star[back, k]),
         )
-        ok = base_ok[back] & np.isfinite(best)
+        ok = P.base_ok[back] & np.isfinite(best)
         return np.where(ok, np.maximum(rss_base[back] - best, 0.0), np.inf), np.where(ok, partner, np.nan)
 
-    def _interior_pairs(self):
+    def _interior_pairs(self, y: _ResponseSums):
         """Breakpoint pairs strictly inside an admissible pair of cells
         ``(j, k)``: where the separate least-squares lines through the points
         at or below ``u_j``, between the two cells and at or above ``u_k+1``
         meet inside cells j and k.  Returns ``(a1, a2, rss)`` with the
         positions standardised."""
-        ss, u = self.ss, self.u
-        p = np.concatenate([[0], self.q])
-        sums = np.stack([ss.n - p, ss.suf1[p], ss.suf2[p], ss.sufy[p], ss.sufxy[p]])
+        u = self.u
+        if self._splits is None:
+            p = np.concatenate([[0], self.q])
+            # every line needs two distinct x values: segment 1 holds
+            # u_0..u_j, segment 2 u_j+1..u_k and segment 3 u_k+1..u_last
+            c = np.arange(u.size - 1)
+            j, k = np.nonzero(
+                self.admissible
+                & (c[:, None] >= 1)
+                & (c[None, :] - c[:, None] >= 2)
+                & (c[None, :] <= u.size - 3)
+            )
+            sums = np.stack([self.n - p, self.suf1[p], self.suf2[p]])
+            total, tail = sums[:, :1], sums[:, 1:]
+            lines = (_Lines(*(total - tail)), _Lines(*(tail[:, j] - tail[:, k])), _Lines(*tail))
+            self._splits = p, j, k, lines
+        # the three lines of each admissible split (j, k)
+        p, j, k, (lines1, lines2, lines3) = self._splits
+        sums = np.stack([y.sufy[p], y.sufxy[p]])
         total, tail = sums[:, :1], sums[:, 1:]
-        m1, c1, e1 = _lines(*(total - tail))
-        m2, c2, e2 = _lines(*(tail[:, :, None] - tail[:, None, :]))
-        m3, c3, e3 = _lines(*tail)
+        m1, c1, e1 = lines1.fit(*(total - tail))
+        m2, c2, e2 = lines2.fit(*(tail[:, j] - tail[:, k]))
+        m3, c3, e3 = lines3.fit(*tail)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (c2 - c1[:, None]) / (m1[:, None] - m2)
-            t2 = (c3[None, :] - c2) / (m2 - m3[None, :])
-        # every line needs two distinct x values: segment 1 holds u_0..u_j,
-        # segment 2 u_j+1..u_k and segment 3 u_k+1..u_last
-        c = np.arange(u.size - 1)
+            t1 = (c2 - c1[j]) / (m1[j] - m2)
+            t2 = (c3[k] - c2) / (m2 - m3[k])
         lo, hi = u[:-1], u[1:]
-        ok = (
-            self.admissible
-            & (c[:, None] >= 1)
-            & (c[None, :] - c[:, None] >= 2)
-            & (c[None, :] <= u.size - 3)
-            & (lo[:, None] < t1)
-            & (t1 < hi[:, None])
-            & (lo[None, :] < t2)
-            & (t2 < hi[None, :])
-        )
-        j, k = np.nonzero(ok)
-        return t1[j, k], t2[j, k], ss.Syy - (e1[j] + e2[j, k] + e3[k])
+        ok = (lo[j] < t1) & (t1 < hi[j]) & (lo[k] < t2) & (t2 < hi[k])
+        return t1[ok], t2[ok], y.Syy - (e1[j[ok]] + e2[ok] + e3[k[ok]])
 
-    def least_squares_pair(self) -> tuple[float, float]:
-        """The admissible breakpoint pair of least RSS, in x units.
+    def least_squares_pair(self, y: _ResponseSums) -> tuple[float, float]:
+        """The admissible breakpoint pair of least RSS for response ``y``, in
+        x units.
 
         Candidates are the interior three-line fits of every admissible cell
         pair, and each breakpoint at both edges of every admissible cell with
-        its exact best partner.  Among the candidates within :attr:`tie` of
-        the least RSS, the lexicographically smallest pair wins.
+        its exact best partner.  Among the candidates within ``y.tie`` of the
+        least RSS, the lexicographically smallest pair wins.
         """
-        t1, t2, rss_in = self._interior_pairs()
-        (cell1, edge1), (cell2, edge2) = self.edges(0), self.edges(1)
-        which = np.repeat([0, 1], [edge1.size, edge2.size])
-        cell, edge = np.concatenate([cell1, cell2]), np.concatenate([edge1, edge2])
-        rss_edge, partner = self.rss(which, self.u[edge], cell)
+        t1, t2, rss_in = self._interior_pairs(y)
+        if self._edges is None:
+            (cell1, edge1), (cell2, edge2) = self.edges(0), self.edges(1)
+            which = np.repeat([0, 1], [edge1.size, edge2.size])
+            cell, edge = np.concatenate([cell1, cell2]), np.concatenate([edge1, edge2])
+            self._edges = which, edge, _Partners(self, which, self.u[edge], cell)
+        which, edge, partners = self._edges
+        rss_edge, partner = self._partner_rss(y, partners)
         at = self.u_orig[edge]
         a1 = np.concatenate([self.x0 + self.span * t1, np.where(which == 0, at, partner)])
         a2 = np.concatenate([self.x0 + self.span * t2, np.where(which == 0, partner, at)])
         rss = np.concatenate([rss_in, rss_edge])
         if not np.isfinite(rss).any():
             raise SegmentedError("inner least squares singular for every admissible breakpoint pair")
-        tied = np.nonzero(rss <= rss.min() + self.tie)[0]
+        tied = np.nonzero(rss <= rss.min() + y.tie)[0]
         best = tied[np.lexsort((a2[tied], a1[tied]))[0]]
         return float(a1[best]), float(a2[best])
 
 
-def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, points=8):
-    """Shrink brackets with the profile at or below ``cutoff`` at ``a_in`` and
+def _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out, rounds=12, points=8):
+    """Shrink brackets with the profile of response ``y`` at or below ``cutoff`` at ``a_in`` and
     above it at ``a_out`` (both ends in one cell, where the profile is
     continuous) around a crossing by repeated ``(points + 1)``-section; twelve
     9-sections shrink a bracket to 4e-12 of its cell.  Returns the inside
@@ -539,7 +606,7 @@ def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, point
     rows = np.arange(a_in.size)
     for _ in range(rounds):
         trial = a_in[:, None] + (a_out - a_in)[:, None] * frac
-        rss, _ = profile.rss(np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
+        rss, _ = profile.rss(y, np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
         below = rss.reshape(trial.shape) <= cutoff
         # walking from a_in towards a_out, the first trial above the cutoff
         # becomes the new outside end and the trial before it the inside end
@@ -550,7 +617,8 @@ def _shrink_brackets(profile, cutoff, which, cell, a_in, a_out, rounds=12, point
 
 
 def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tuple[float, float]]:
-    profile = _BreakpointProfile(fit.xs, fit.ys, fit.min_segment_points)
+    profile = _BreakpointProfile(fit.xs, fit.min_segment_points)
+    y = profile.response(fit.ys)
     u, u_orig = profile.u, profile.u_orig
     # samples: both edges of every admissible cell, plus the estimate when
     # it lies inside a cell; an estimate on a data value is an edge of one
@@ -571,6 +639,7 @@ def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tupl
             )
         samples.append((which, est, cell, t, orig, at_est))
     rss, _ = profile.rss(
+        y,
         np.concatenate([np.full(s[2].size, s[0]) for s in samples]),
         np.concatenate([s[3] for s in samples]),
         np.concatenate([s[2] for s in samples]),
@@ -595,7 +664,7 @@ def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tupl
                 brackets.append((name, side, which, cell[i], t[i], t[j]))
     if brackets:
         _, _, which, cell, a_in, a_out = (np.array(col) for col in zip(*brackets))
-        found = _shrink_brackets(profile, cutoff, which, cell, a_in, a_out)
+        found = _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out)
         for (name, side, *_), a in zip(brackets, found):
             ends[name][side] = profile.x0 + profile.span * float(a)
     return {
@@ -661,12 +730,22 @@ def fit_report_rows(fit: SegmentedFit, significance_level: float = 0.05) -> list
 
 
 def segmented_fitter(min_segment_points: int = 3):
-    """Mean-model fitter adapter for the bootstrap: ``(xs, ys) -> fitted``."""
+    """Block fitter for the bootstrap (see :mod:`breakline.bands`):
+    ``(xs, Y) -> fitted``, row ``i`` the :func:`fit_segmented` mean of
+    ``Y[i]`` evaluated at xs.  The x-only part of the search is built once
+    per call and shared by the rows, and each row runs the same code as
+    :func:`fit_segmented`, so its fit does not depend on the block."""
 
-    def fitter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        ds = BivariateDataset.from_arrays(xs, ys)
-        fit = fit_segmented(ds, min_segment_points=min_segment_points)
-        return eval_segmented(fit.model, xs)
+    def fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        profile = _design_profile(xs_sorted, min_segment_points)
+        rows = np.asarray(Y, dtype=float)[:, order]
+        fitted = np.empty(rows.shape)
+        for i, ys in enumerate(rows):
+            model, _, _ = _least_squares(profile, xs_sorted, ys)
+            fitted[i] = eval_segmented(model, xs)
+        return fitted
 
     return fitter
 
@@ -675,7 +754,8 @@ def plrm_prediction_band(
     fit: SegmentedFit,
     ds: BivariateDataset,
     gammas,
-    bootstrap_config: BandConfig | None = None,
+    B: int = 10_000,
+    seed: int = 0,
     force_bootstrap: bool = False,
 ) -> list[PredictionBand]:
     """Prediction bands for the response on the observed design, one per gamma.
@@ -684,7 +764,8 @@ def plrm_prediction_band(
     g' (J'J)^-1 g))`` with ``g`` the mean-function gradient; when the
     curvature matrix is not positive definite (or on request) the bands fall
     back to the residual bootstrap with the piecewise fitter, all read off
-    one replicate pool.
+    one pool of ``B`` replicates seeded by ``seed``.  ``B`` and ``seed`` are
+    used, and checked against the gammas, only on that branch.
     """
     for gamma in gammas:
         if not (0.0 < gamma < 1.0):
@@ -693,7 +774,7 @@ def plrm_prediction_band(
         bands = bootstrap_bands(
             ds,
             segmented_fitter(min_segment_points=fit.min_segment_points),
-            bootstrap_config or BandConfig(gamma=max(gammas)),
+            BandConfig(B=B, gamma=max(gammas), rng=RngSpec(seed)),
             gammas,
             method="PLRM",
         )

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import breakline as bl
 from acceptance_log import record as _line
@@ -249,6 +250,7 @@ def test_c08_reference_arithmetic():
     assert ok
 
 
+@pytest.mark.slow  # most of the suite's time: 50 tau sweeps
 def test_c09_method_comparison_tendency():
     """Criterion 9: on wedge data the quantile method tends to give narrower
     breakpoint intervals and smaller band areas than the least-squares fit."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breakline import bands
 from breakline.bands import (
     BandConfig,
     BootstrapError,
@@ -12,6 +13,8 @@ from breakline.bands import (
     predicted_residual_pool,
 )
 from breakline.dataset import BivariateDataset
+from breakline.loess import LoessConfig, loess_fitter
+from breakline.piecewise import segmented_fitter
 from breakline.rng import RngSpec, standard_normal
 
 
@@ -92,44 +95,67 @@ def test_quantile_convention_linear_interpolation():
     assert band.upper[0] == pytest.approx(10.0 + 2.25)
 
 
+def _counting(fitter, fail_on=(), raise_type=ValueError):
+    """A block fitter that counts its calls and rows and raises on the
+    listed call numbers (1 is the center fit)."""
+    seen = {"calls": 0, "rows": 0}
+
+    def fit(xs, Y):
+        seen["calls"] += 1
+        seen["rows"] += len(Y)
+        if seen["calls"] in fail_on:
+            raise raise_type("injected")
+        return fitter(xs, Y)
+
+    return fit, seen
+
+
 def test_retry_then_success():
     ds = _line_dataset(noise=0.2)
-    calls = {"n": 0}
-
-    def flaky(xs, ys):
-        calls["n"] += 1
-        if calls["n"] in (2, 3, 4):  # replicate 0 fails three times, then recovers
-            raise ValueError("transient")
-        return ols_line_fitter(xs, ys)
-
-    center, pool = predicted_residual_pool(ds, flaky, BandConfig(B=10, gamma=0.5, rng=RngSpec(4)))
-    assert np.array_equal(center, ols_line_fitter(ds.xs, ds.ys))
+    config = BandConfig(B=10, gamma=0.5, rng=RngSpec(4))
+    # the block of replicates fails, then replicate 0 refit alone fails
+    # twice more and recovers: three failures, as a per-replicate retry
+    flaky, seen = _counting(ols_line_fitter, fail_on=(2, 3, 4))
+    center, pool = predicted_residual_pool(ds, flaky, config)
+    assert np.array_equal(center, ols_line_fitter(ds.xs, ds.ys[None, :])[0])
     assert pool.shape == (10, ds.n)
+    assert seen["calls"] == 1 + 1 + 3 + 9  # center, block, replicate 0 thrice, 1..9 alone
+    assert seen["rows"] == 1 + 10 + 3 + 9
+    # the retries draw from replicate 0's stream only
+    _, clean = predicted_residual_pool(ds, ols_line_fitter, config)
+    assert np.array_equal(pool[1:], clean[1:])
+    assert not np.array_equal(pool[0], clean[0])
 
 
 def test_abort_after_retries_reports_replicate():
     ds = _line_dataset(noise=0.2)
-    calls = {"n": 0}
-
-    def always_fail_after_first(xs, ys):
-        calls["n"] += 1
-        if calls["n"] > 1:
-            raise ValueError("broken")
-        return ols_line_fitter(xs, ys)
-
+    always_fail_after_first, seen = _counting(ols_line_fitter, fail_on=range(2, 100))
     with pytest.raises(BootstrapError, match="replicate 0"):
         predicted_residual_pool(ds, always_fail_after_first, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+    assert seen["calls"] == 1 + 1 + 11  # center, block, replicate 0 and its 10 retries
 
 
 def test_fitter_bug_propagates_unchanged():
     ds = _line_dataset(noise=0.2)
+    buggy, seen = _counting(ols_line_fitter, fail_on=(2,), raise_type=TypeError)
+    with pytest.raises(TypeError, match="injected"):
+        predicted_residual_pool(ds, buggy, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+    assert seen["calls"] == 2  # the block raised; no replicate was refit alone or retried
+
+
+def test_fitter_bug_in_a_single_refit_propagates_unchanged():
+    ds = _line_dataset(noise=0.2)
+    # the block's ValueError sends its replicates one at a time, and the
+    # first of them meets the bug
     calls = {"n": 0}
 
-    def buggy(xs, ys):
+    def buggy(xs, Y):
         calls["n"] += 1
+        if calls["n"] == 2:
+            raise ValueError("fit failure")
         if calls["n"] == 3:
             raise TypeError("not a fit failure")
-        return ols_line_fitter(xs, ys)
+        return ols_line_fitter(xs, Y)
 
     with pytest.raises(TypeError, match="not a fit failure"):
         predicted_residual_pool(ds, buggy, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
@@ -150,4 +176,49 @@ def test_band_shape_validation():
 def test_fitter_output_shape_checked():
     ds = _line_dataset()
     with pytest.raises(BootstrapError, match="one fitted value"):
-        bootstrap_band(ds, lambda xs, ys: np.zeros(3), BandConfig(B=10, gamma=0.5))
+        bootstrap_band(ds, lambda xs, Y: np.zeros(3), BandConfig(B=10, gamma=0.5))
+    # a block of replicates is checked as well as the center fit
+    with pytest.raises(BootstrapError, match="one fitted value"):
+        bootstrap_band(ds, lambda xs, Y: Y if len(Y) == 1 else Y[:1], BandConfig(B=10, gamma=0.5))
+
+
+def test_ols_fitter_fits_each_row():
+    ds = _line_dataset(noise=0.3)
+    Y = np.stack([ds.ys, 3.0 - ds.xs, ds.ys[::-1]])
+    fitted = ols_line_fitter(ds.xs, Y)
+    for ys, row in zip(Y, fitted):
+        design = np.column_stack([np.ones_like(ds.xs), ds.xs])
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        assert np.allclose(row, design @ coef, rtol=0.0, atol=1e-12)
+
+
+def _row_rule_fitter(xs, Y):
+    """OLS that fails on rows whose first response is low (two of the first
+    draws below): which replicates fail depends on their draws only, never
+    on the block they are in."""
+    if np.any(Y[:, 0] < 0.75):
+        raise ValueError("row rule")
+    return ols_line_fitter(xs, Y)
+
+
+@pytest.mark.parametrize(
+    "fitter",
+    [
+        ols_line_fitter,
+        _row_rule_fitter,
+        loess_fitter(LoessConfig(span=0.5, degree=2, robust_iterations=2)),
+        segmented_fitter(),
+    ],
+    ids=["ols", "ols-with-retries", "loess", "plrm"],
+)
+def test_pool_and_bands_do_not_depend_on_block_size(monkeypatch, fitter):
+    ds = _line_dataset(n=40, noise=0.3, seed=2)
+    config = BandConfig(B=30, gamma=0.9, rng=RngSpec(6))
+    results = []
+    for block in (1, 7, bands._BLOCK):
+        monkeypatch.setattr(bands, "_BLOCK", block)
+        center, pool = predicted_residual_pool(ds, fitter, config)
+        lo, hi = bootstrap_bands(ds, fitter, config, [0.5, 0.9])
+        results.append([center, pool, lo.lower, lo.upper, hi.lower, hi.upper])
+    for other in results[1:]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(results[0], other))

@@ -207,15 +207,15 @@ def test_format_restriction(tmp_path):
 def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
     import breakline.piecewise as piecewise
 
-    refits = []
+    refits = []  # rows fitted per fitter call
     factory = piecewise.segmented_fitter
 
     def counting_factory(*args, **kwargs):
         fitter = factory(*args, **kwargs)
 
-        def counted(xs, ys):
-            refits.append(1)
-            return fitter(xs, ys)
+        def counted(xs, Y):
+            refits.append(len(Y))
+            return fitter(xs, Y)
 
         return counted
 
@@ -232,7 +232,7 @@ def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
             ]
         )
         assert code == 0
-        assert len(refits) == 40 + 1  # the center fit and one refit per replicate, for both gammas
+        assert sum(refits) == 40 + 1  # the center fit and one refit per replicate, for both gammas
         outs.append(out)
     assert _dir_digest(outs[0]) == _dir_digest(outs[1])
 
@@ -242,6 +242,21 @@ def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
 
     b80, b95 = band("band_gamma080.csv"), band("band_gamma095.csv")
     assert np.all(b95[:, 0] <= b80[:, 0]) and np.all(b80[:, 1] <= b95[:, 1])
+
+
+def test_plrm_small_bootstrap_checked_only_when_resampling(tmp_path):
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=11, n=60)
+    base = ["plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--bootstrap", "20"]
+    # the default parametric bands never resample, so B = 20 is not checked
+    out = tmp_path / "parametric"
+    assert main([*base, "--out", str(out)]) == 0
+    assert (out / "band_gamma095.csv").exists()
+    # the bootstrap bands need B >= 40 for gamma 0.95
+    out = tmp_path / "bootstrap"
+    assert main([*base, "--band-method", "bootstrap", "--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == "BootstrapError"
+    assert "too small" in record["message"]
 
 
 # every subcommand's options as the parser defined them before the shared flag

@@ -10,6 +10,7 @@ from breakline.loess import (
     LoessError,
     SingularFitError,
     fit_loess,
+    loess_fitter,
     predict_loess,
     tricube_weights,
 )
@@ -82,8 +83,9 @@ def test_predict_on_design_equals_fitted():
     rng = np.random.default_rng(2)
     xs = np.sort(rng.uniform(0, 1, 40))
     ds = BivariateDataset.from_arrays(xs, np.cos(4 * xs) + 0.2 * rng.standard_normal(40))
-    fit = fit_loess(ds, LoessConfig(span=0.5, degree=2, robust_iterations=3))
-    assert np.array_equal(predict_loess(fit, ds, xs), fit.fitted)
+    for passes in (3, 0):
+        fit = fit_loess(ds, LoessConfig(span=0.5, degree=2, robust_iterations=passes))
+        assert np.array_equal(predict_loess(fit, ds, xs), fit.fitted)
 
 
 def test_predict_interior_matches_oracle():
@@ -190,3 +192,78 @@ def test_config_validation():
     ds = BivariateDataset.from_arrays(np.linspace(0, 1, 100), np.zeros(100))
     with pytest.raises(LoessError, match="neighbors"):
         fit_loess(ds, LoessConfig(span=0.02, degree=2))
+
+
+def _lstsq_reference(xs, ys, config):
+    """The smoother as a loop over targets, each an ``lstsq`` on its
+    weighted local design, with the robustness passes of :func:`fit_loess`."""
+    n = xs.size
+    k = config.neighborhood_size(n)
+
+    def local(x0, delta):
+        d = np.abs(xs - x0)
+        d_k = np.partition(d, k - 1)[k - 1]
+        idx = np.nonzero(d <= d_k)[0]
+        if d_k == 0.0:
+            w = delta[idx]
+            return float(np.mean(ys[idx])) if w.sum() <= 0.0 else float(np.average(ys[idx], weights=w))
+        w = tricube_weights(d[idx], d_k) * delta[idx]
+        if np.unique(xs[idx][w > 0.0]).size < config.degree + 1:
+            raise SingularFitError(x0)
+        sw = np.sqrt(w)
+        basis = np.vander(xs[idx] - x0, config.degree + 1, increasing=True)
+        coef, *_ = np.linalg.lstsq(basis * sw[:, None], ys[idx] * sw, rcond=None)
+        return float(coef[0])
+
+    delta = np.ones(n)
+    fitted = np.array([local(x0, delta) for x0 in xs])
+    floor = 1e-12 * (1.0 + float(np.median(np.abs(ys))))
+    for _ in range(config.robust_iterations):
+        resid = ys - fitted
+        s = float(np.median(np.abs(resid)))
+        if s <= floor:
+            break
+        u = np.clip(resid / (6.0 * s), -1.0, 1.0)
+        delta = (1.0 - u * u) ** 2
+        fitted = np.array([local(x0, delta) for x0 in xs])
+    return fitted
+
+
+@pytest.mark.parametrize("design", ["continuous", "half-unit ties", "repeated x"])
+@pytest.mark.parametrize("config", [LoessConfig(), LoessConfig(span=0.3, degree=1, robust_iterations=2)])
+def test_block_fit_matches_fit_loess_and_lstsq_reference(design, config):
+    gen = np.random.default_rng(4)
+    n = 60
+    xs = np.sort(np.repeat(gen.uniform(0, 1, n // 2), 2) if design == "repeated x" else gen.uniform(0, 1, n))
+    truth = 10.0 - 5.0 * np.maximum(xs - 0.3, 0.0) + 5.0 * np.maximum(xs - 0.6, 0.0)
+    Y = truth + 0.5 * (1.0 + 1.5 * xs) * gen.standard_normal((5, n))
+    if design == "half-unit ties":
+        Y = np.round(2.0 * Y) / 2.0
+    # a straight line is fit exactly, so its row stops after the first pass
+    Y = np.vstack([Y[:2], 1.0 + 2.0 * xs, Y[2:]])
+    block = loess_fitter(config)(xs, Y)
+    for ys, row in zip(Y, block):
+        single = fit_loess(BivariateDataset.from_arrays(xs, ys), config).fitted
+        assert np.allclose(row, single, rtol=1e-12, atol=0.0)
+        assert np.allclose(row, _lstsq_reference(xs, ys, config), rtol=1e-12, atol=0.0)
+
+
+def test_block_with_a_singular_row_raises_like_that_row():
+    # two adjacent outliers get bisquare weight 0 in the first robustness
+    # pass, which leaves the local line at x = 3 one distinct x value
+    xs = np.arange(12.0)
+    singular = np.array([0.2, -0.25, 0.04, -0.06, 4.95, 5.41, -0.2, -0.02, -0.09, 0.33, 0.02, -0.03])
+    others = 0.1 * np.random.default_rng(1).standard_normal((3, 12))
+    config = LoessConfig(span=4 / 12, degree=1, robust_iterations=2)
+    fitter = loess_fitter(config)
+    with pytest.raises(SingularFitError) as single:
+        fit_loess(BivariateDataset.from_arrays(xs, singular), config)
+    with pytest.raises(SingularFitError) as block:
+        fitter(xs, np.vstack([others[:1], singular, others[1:]]))
+    assert single.value.target_x == block.value.target_x == 3.0
+    with pytest.raises(SingularFitError):
+        _lstsq_reference(xs, singular, config)
+    fitted = fitter(xs, others)
+    for ys, row in zip(others, fitted):
+        assert np.allclose(row, fit_loess(BivariateDataset.from_arrays(xs, ys), config).fitted, rtol=1e-12, atol=0.0)
+        assert np.allclose(row, _lstsq_reference(xs, ys, config), rtol=1e-12, atol=1e-15)

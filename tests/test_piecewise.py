@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from breakline.bands import BandConfig, BootstrapError
+from breakline.bands import BootstrapError
 from breakline.dataset import BivariateDataset
 from breakline.piecewise import (
     SegmentedError,
@@ -18,6 +18,7 @@ from breakline.piecewise import (
     plrm_prediction_band,
     profile_inner_ols,
     segmented_design,
+    segmented_fitter,
 )
 from breakline.rng import RngSpec, standard_normal
 from breakline.synthetic import ols_oracle
@@ -150,6 +151,23 @@ def test_fit_is_least_squares_over_the_continuum(case):
         assert fit.rss <= brute * (1.0 + 1e-10), (case, seed, fit.rss, brute)
 
 
+@pytest.mark.parametrize("n", [40, 200])
+@pytest.mark.parametrize("case", ["continuous", "half-unit ties", "repeated x"])
+def test_block_fit_is_bit_identical_to_fit_segmented(case, n):
+    gen = np.random.default_rng(n)
+    if case == "repeated x":
+        xs = np.sort(np.repeat(gen.uniform(0, 1, n // 2), 2))
+    else:
+        xs = np.sort(gen.uniform(0, 1, n))
+    Y = eval_segmented(TRUTH, xs) + 0.5 * (1.0 + 1.5 * xs) * gen.standard_normal((4, n))
+    if case == "half-unit ties":
+        Y = np.round(2.0 * Y) / 2.0
+    block = segmented_fitter()(xs, Y)
+    for ys, row in zip(Y, block):
+        fit = fit_segmented(BivariateDataset.from_arrays(xs, ys))
+        assert row.tobytes() == eval_segmented(fit.model, xs).tobytes()
+
+
 def test_fit_rss_is_the_exact_profile_minimum():
     """On criterion 1's first dataset the exact profile at the fitted
     breakpoints is no lower than the fit's RSS."""
@@ -158,12 +176,12 @@ def test_fit_rss_is_the_exact_profile_minimum():
     xs = np.linspace(0, 1, 200)
     ys = eval_segmented(TRUTH, xs) + 0.5 * standard_normal(RngSpec(0).stream(0), 200)
     fit = fit_segmented(BivariateDataset.from_arrays(xs, ys))
-    profile = _BreakpointProfile(fit.xs, fit.ys, fit.min_segment_points)
+    profile = _BreakpointProfile(fit.xs, fit.min_segment_points)
     for which in (0, 1):
         a = fit.model.alpha[which]
         cells = [c for c in _cells_of(profile.u_orig, a) if c in profile.cells(which)]
         t = np.full(len(cells), (a - profile.x0) / profile.span)
-        rss, _ = profile.rss(np.full(len(cells), which), t, np.array(cells))
+        rss, _ = profile.rss(profile.response(fit.ys), np.full(len(cells), which), t, np.array(cells))
         assert rss.min() >= fit.rss * (1.0 - 1e-12)
 
 
@@ -385,17 +403,18 @@ def test_band_gamma_monotonicity():
 def test_band_bootstrap_switch():
     ds = _noisy(n=30, sigma=0.5, seed=8)
     fit = fit_segmented(ds)
-    small = BandConfig(B=30, gamma=0.80, rng=RngSpec(1))
-    (band,) = plrm_prediction_band(fit, ds, [0.80], bootstrap_config=small, force_bootstrap=True)
+    (band,) = plrm_prediction_band(fit, ds, [0.80], B=30, seed=1, force_bootstrap=True)
     assert band.meta.get("bootstrap_fallback") is True
     assert np.all(band.lower <= band.upper)
     # both coefficients are read off one replicate pool, so the bands nest
-    config = BandConfig(B=40, gamma=0.95, rng=RngSpec(1))
-    b80, b95 = plrm_prediction_band(fit, ds, [0.80, 0.95], bootstrap_config=config, force_bootstrap=True)
+    b80, b95 = plrm_prediction_band(fit, ds, [0.80, 0.95], B=40, seed=1, force_bootstrap=True)
     assert np.all(b95.lower <= b80.lower) and np.all(b80.upper <= b95.upper)
-    # B = 30 is too few for 0.95, whichever gamma the config names
+    # B = 30 is too few for 0.95
     with pytest.raises(BootstrapError, match="too small"):
-        plrm_prediction_band(fit, ds, [0.80, 0.95], bootstrap_config=small, force_bootstrap=True)
+        plrm_prediction_band(fit, ds, [0.80, 0.95], B=30, seed=1, force_bootstrap=True)
+    # the parametric band never resamples, so B is not checked against gamma
+    (parametric,) = plrm_prediction_band(fit, ds, [0.95], B=30, seed=1)
+    assert parametric.meta == {"kind": "parametric"}
 
 
 def test_preconditions():
