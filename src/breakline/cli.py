@@ -35,9 +35,11 @@ from .piecewise import (
     fit_segmented,
     plrm_prediction_band,
 )
-from .quantile import (
+# fit_segmented_quantile is unused here; perfbench/tracing.py patches it by name
+from .quantile import (  # noqa: F401
     DEFAULT_TAU_GRID,
     QuantileError,
+    check_tau_grid,
     fit_segmented_quantile,
     fit_tau_grid,
     pqrm_prediction_band,
@@ -271,19 +273,29 @@ def _band_taus(gamma: float) -> tuple[float, float, float]:
 
 
 def _pqrm_pieces(ds, taus, gamma, min_seg_points):
-    """Shared by pqrm and compare: grid fits, interval table, band, failures."""
+    """Shared by pqrm and compare: grid fits, interval table, band, failures.
+
+    The band's taus missing from the grid are fitted in the grid's lockstep
+    sweep; the interval table uses the grid's taus only."""
     ls_fit = fit_segmented(ds, min_segment_points=min_seg_points)
-    fits, failures = fit_tau_grid(ds, taus, init=ls_fit.model, min_segment_points=min_seg_points)
+    check_tau_grid(taus)
+    band_taus = _band_taus(gamma)
+    sweep, sweep_failures = fit_tau_grid(
+        ds, sorted(set(taus) | set(band_taus)), init=ls_fit.model, min_segment_points=min_seg_points
+    )
+    swept = {f.tau: f for f in sweep}
+    failed = dict(sweep_failures)
+    fits = [swept[t] for t in taus if t in swept]
+    failures = [(float(t), failed[t]) for t in taus if t in failed]
     if len(fits) < 2:
         raise QuantileError(f"too few successful tau fits ({len(fits)}) to build intervals")
     table = quantile_breakpoint_intervals(fits, failed_taus=[t for t, _ in failures])
     by_tau = {round(f.tau, 10): f for f in fits}
-    band_taus = _band_taus(gamma)
     for t in sorted(set(band_taus) - set(by_tau)):
-        try:
-            by_tau[t] = fit_segmented_quantile(ds, t, init=ls_fit.model, min_segment_points=min_seg_points)
-        except (QuantileError, SegmentedError) as exc:
-            failures.append((t, str(exc)))
+        if t in swept:
+            by_tau[t] = swept[t]
+        else:
+            failures.append((t, failed[t]))
     fitted = set(band_taus) <= set(by_tau)
     band = pqrm_prediction_band(*(by_tau[t] for t in band_taus), ds) if fitted else None
     return ls_fit, fits, table, band, failures

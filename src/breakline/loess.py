@@ -27,7 +27,7 @@ class SingularFitError(LoessError):
     def __init__(self, target_x: float):
         self.target_x = float(target_x)
         super().__init__(
-            f"singular local fit at x={target_x!r}: positive weight on fewer "
+            f"singular local fit at x={self.target_x!r}: positive weight on fewer "
             "distinct x values than the local polynomial needs"
         )
 

@@ -13,13 +13,20 @@ the least-squares fitter's segment rule), with an optional finer local
 refinement around the incumbent, so the returned fit is the global optimum
 on the candidate grid.
 
+A tau grid is fitted in one lockstep sweep: the candidate pairs are walked
+once, and at each pair the hinge columns are written once and a block
+simplex solves every tau together, each from its own warm basis.  Every
+basis-dependent step of a simplex pass runs stacked over the taus still
+pivoting; only the ratio test of a pivoting tau runs on its own.  Each tau
+keeps its own incumbent and then runs its own refinement, so its fit is
+byte-identical to fitting that tau alone (a block of one).
+
 The spread of breakpoint estimates across a tau grid doubles as a simple
 interval: the smallest and largest estimates over taus ``t_min..t_max`` are
 reported as a ``(t_max - t_min) * 100`` percent interval.  This
 range-of-estimates construction is a reporting convention, not a calibrated
 frequentist procedure.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,13 +79,18 @@ def check_objective(residuals, tau: float) -> float:
 
 @dataclass
 class QuantileLinearState:
-    """Optimal basic solution of one fixed-design check-loss fit."""
+    """Optimal basic solutions of a block of fixed-design check-loss fits.
 
-    beta: np.ndarray
-    residuals: np.ndarray
-    objective: float
-    basis: np.ndarray
-    pivots: int
+    Row ``i`` holds the coefficients, objective and interpolation set of the
+    block's ``i``-th (tau, basis) row, unless ``errors`` maps ``i`` to the
+    :class:`RankDeficiencyError` or :class:`PivotLimitError` it ended with;
+    the basis of such a row is its warm start, sorted.
+    """
+
+    beta: np.ndarray  # (k, p)
+    objective: np.ndarray  # (k,)
+    basis: np.ndarray  # (k, p), each row sorted
+    errors: dict[int, QuantileError]
 
 
 def _initial_basis(X: np.ndarray) -> np.ndarray:
@@ -91,136 +103,185 @@ def _initial_basis(X: np.ndarray) -> np.ndarray:
     return np.sort(piv[:p])
 
 
-def _solve_check_loss(
-    X: np.ndarray,
-    y: np.ndarray,
-    tau: float,
-    warm_basis: np.ndarray | None = None,
-    ztol: float | None = None,
-    trusted_basis: bool = False,
-) -> QuantileLinearState:
-    """Exchange simplex on the vertex set of exact-fit bases.
+def _zero_tol(y: np.ndarray) -> float:
+    """Residuals within this of zero count as pinned at zero."""
+    return 1e-11 * (1.0 + float(np.median(np.abs(y))))
 
-    Maintains a set ``h`` of p interpolated observations.  For each candidate
-    exchange direction (drop one member of ``h``, move so the others stay
-    interpolated) the one-sided objective derivatives are computed exactly:
-    off-basis points with residual pinned at zero contribute their worst-case
-    growth rate, so degenerate ties never produce phantom descent.  A
-    genuinely descending edge therefore always admits a strictly improving
+
+def _solve_check_loss(X: np.ndarray, y: np.ndarray, taus, bases, ztol: float) -> QuantileLinearState:
+    """Exchange simplex on the vertex set of exact-fit bases, for a block of
+    ``k`` (tau, basis) rows that share the design ``X``.
+
+    Each row keeps a set ``h`` of p interpolated observations.  For each
+    candidate exchange direction (drop one member of ``h``, move so the others
+    stay interpolated) the one-sided objective derivatives are computed
+    exactly: off-basis points with residual pinned at zero contribute their
+    worst-case growth rate, so degenerate ties never produce phantom descent.
+    A genuinely descending edge therefore always admits a strictly improving
     step, found by walking the residual sign-change breakpoints until the
     running derivative turns nonnegative; the objective strictly decreases
     at every pivot, which rules out cycling.  A shortest-step least-index
     rule takes over after ``_BLAND_AFTER`` pivots as an extra safeguard, and
     the hard pivot budget backs both.
+
+    A pass runs every basis-dependent step (the basis inverses, coefficients,
+    residuals, one-sided derivatives and objectives) once, stacked over the
+    rows still pivoting; rows found optimal drop out, and only the ratio test
+    runs per row.  Stacked and per-matrix LAPACK / BLAS calls give the same
+    bits, so each row follows the chain of bases it would follow alone.
+
+    ``bases`` is a ``(k, p)`` integer array of warm starts; a row that is not
+    ``p`` distinct indices into ``X`` starts from the QR basis instead, as
+    does a row whose basis matrix turns out singular.  ``ztol`` is the
+    pinned-at-zero tolerance of :func:`_zero_tol`.
     """
     n, p = X.shape
     if n < p:
         raise QuantileError(f"need at least {p} observations for {p} columns, got {n}")
-    h = None
-    if warm_basis is not None and len(warm_basis) == p:
-        if trusted_basis:
-            h = np.asarray(warm_basis).copy()
-        else:
-            cand = np.sort(np.asarray(warm_basis))
-            if cand[0] >= 0 and cand[-1] < n and np.unique(cand).size == p:
-                h = cand
-    if h is None:
-        h = _initial_basis(X)
+    tau = np.asarray(taus, dtype=float)
+    k = tau.size
+    bases = np.asarray(bases, dtype=np.intp).reshape(k, p)
+    H = np.sort(bases, axis=1)
+    state = QuantileLinearState(beta=np.zeros((k, p)), objective=np.zeros(k), basis=H, errors={})
+    fallback = []  # the QR basis of X (or its rank error), made on first use
 
-    if ztol is None:
-        ztol = 1e-11 * (1.0 + float(np.median(np.abs(y))))
+    def restart(row):
+        if not fallback:
+            try:
+                fallback.append(_initial_basis(X))
+            except RankDeficiencyError as exc:
+                fallback.append(exc)
+        if isinstance(fallback[0], RankDeficiencyError):
+            state.errors[int(row)] = fallback[0]
+            return False
+        H[row] = fallback[0]
+        return True
+
+    every = np.arange(k)[:, None]
+    rows = np.array(
+        [i for i, start in enumerate(H.tolist())
+         if (0 <= start[0] and start[-1] < n and len(set(start)) == p) or restart(i)],
+        dtype=np.intp,
+    )
 
     for pivot in range(_PIVOT_BUDGET):
+        if rows.size == 0:
+            break
+        h = H[rows]
         try:
-            inv_xh = np.linalg.inv(X[h])
+            inv = np.linalg.inv(X[h])
         except np.linalg.LinAlgError:
-            h = _initial_basis(X)
-            inv_xh = np.linalg.inv(X[h])
-        b = inv_xh @ y[h]
-        G = X @ inv_xh
-        r = y - X @ b
-        off = np.ones(n, dtype=bool)
-        off[h] = False
-        abs_r = np.abs(r)
-        neg = off & (r < -ztol)
-        pos = off & (r > ztol)
+            inv, kept = [], []
+            for row in rows:
+                try:
+                    inv.append(np.linalg.inv(X[H[row]]))
+                except np.linalg.LinAlgError:
+                    if not restart(row):
+                        continue
+                    inv.append(np.linalg.inv(X[H[row]]))
+                kept.append(row)
+            rows = np.array(kept, dtype=np.intp)
+            if rows.size == 0:
+                break
+            h = H[rows]
+            inv = np.stack(inv)
+        t = tau[rows, None]
+        b = np.matmul(inv, y[h][:, :, None])[:, :, 0]
+        G = np.matmul(X, inv)
+        r = y - np.matmul(X, b[:, :, None])[:, :, 0]
+        # the basis points' residuals are zero up to rounding; NaN keeps
+        # them out of every sign class below
+        r_off = r.copy()
+        r_off[every[: rows.size], h] = np.nan
+        neg = r_off < -ztol
+        pos = r_off > ztol
+        zero = np.abs(r_off) <= ztol
         # Fixed-sign contributions plus the exact worst-case rates of points
         # pinned at zero: moving along +d_j flips a zero point to whichever
         # side costs more, so the true one-sided derivatives are
         #   D+_j = (1 - tau) - (s_fixed_j + sum_Z min(tau g, (tau-1) g))
         #   D-_j = tau + (s_fixed_j + sum_Z max(tau g, (tau-1) g)).
-        psi = tau * off
-        psi[neg] -= 1.0
-        zero = off & (abs_r <= ztol)
-        any_zero = bool(zero.any())
-        if any_zero:
-            psi[zero] = 0.0
-        s_fixed = G.T @ psi
-        if any_zero:
-            gz = G[zero]
-            z_min = np.minimum(tau * gz, (tau - 1.0) * gz).sum(axis=0)
-            z_max = np.maximum(tau * gz, (tau - 1.0) * gz).sum(axis=0)
-        else:
-            z_min = np.zeros(p)
-            z_max = z_min
-        opt_tol = 1e-10 * (1.0 + float(np.abs(G).sum()))
-        d_plus = (1.0 - tau) - (s_fixed + z_min)
-        d_minus = tau + (s_fixed + z_max)
+        # psi is tau on positive, tau - 1 on negative and 0 on other points.
+        t1 = t - 1.0
+        psi = np.where(neg, t1, t * pos)
+        s_fixed = np.matmul(G.transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
+        s_min = s_max = s_fixed
+        pinned = zero.any(axis=0).nonzero()[0]
+        if pinned.size:
+            # The sums over Z run in point order over the points pinned in
+            # any row; a point not pinned in a row adds an exact zero to it.
+            gz = np.where(zero[:, pinned, None], G[:, pinned], 0.0)
+            lo = t[:, :, None] * gz
+            hi = t1[:, :, None] * gz
+            s_min = s_fixed + np.minimum(lo, hi).sum(axis=1)
+            s_max = s_fixed + np.maximum(lo, hi).sum(axis=1)
+        opt_tol = 1e-10 * (1.0 + np.abs(G).sum(axis=(1, 2)))
+        d_plus = (1.0 - t) - s_min
+        d_minus = t + s_max
         viol = np.maximum(-d_plus, -d_minus)
-        if np.all(viol <= opt_tol):
-            return QuantileLinearState(
-                beta=b,
-                residuals=r,
-                objective=float(np.sum(r * (tau - (r < 0.0)))),
-                basis=h.copy(),
-                pivots=pivot,
-            )
+        settled = viol.max(axis=1) <= opt_tol
+        objective = (r * (t - (r < 0.0))).sum(axis=1)
+        if settled.all():
+            state.beta[rows] = b
+            state.objective[rows] = objective
+            rows = rows[:0]
+            break
 
         bland = pivot >= _BLAND_AFTER
-        candidates = np.nonzero(viol > opt_tol)[0]
-        if bland:
-            j_pos = int(candidates[0])  # h is kept sorted: least point index
-        else:
-            j_pos = int(candidates[np.argmax(viol[candidates])])
-        sigma = 1.0 if -d_plus[j_pos] >= -d_minus[j_pos] else -1.0
-        d0 = d_plus[j_pos] if sigma > 0 else d_minus[j_pos]
+        for m in (~settled).nonzero()[0]:
+            enter = _ratio_test(X, r_off[m], pos[m], neg[m], inv[m], viol[m], d_plus[m], d_minus[m],
+                                opt_tol[m], bland)
+            if enter is None:
+                settled[m] = True
+            else:
+                row = H[rows[m]]
+                row[enter[0]] = enter[1]
+                row.sort()
+        done = rows[settled]
+        state.beta[done] = b[settled]
+        state.objective[done] = objective[settled]
+        rows = rows[~settled]
 
-        dvec = sigma * inv_xh[:, j_pos]
-        c = X @ dvec
-        c_tol = 1e-13 * (1.0 + np.max(np.abs(c)))
-        # Only residuals moving toward the other sign ever cross zero; the
-        # pinned-zero points are already inside d0 and never cross again.
-        crossing = (pos & (c > c_tol)) | (neg & (c < -c_tol))
-        idx = np.nonzero(crossing)[0]
-        if idx.size == 0:
-            # The objective is bounded below, so a genuinely descending edge
-            # always has a crossing; an empty set means the violation was
-            # rounding noise.  The current vertex is optimal within tolerance.
-            return QuantileLinearState(
-                beta=b,
-                residuals=r,
-                objective=float(np.sum(r * (tau - (r < 0.0)))),
-                basis=h.copy(),
-                pivots=pivot,
-            )
-        t = r[idx] / c[idx]
-        gains = np.abs(c[idx])
-        if bland:
-            order = np.lexsort((idx, t))
-            enter = int(idx[order[0]])
-        else:
-            order = np.lexsort((idx, -gains, t))
-            cum = d0 + np.cumsum(gains[order])
-            hit = np.nonzero(cum >= 0.0)[0]
-            # cum < 0 past the last crossing is the same rounding-noise case;
-            # step to the farthest crossing and let the next pass settle it.
-            enter = int(idx[order[hit[0]]]) if hit.size else int(idx[order[-1]])
-        h[np.nonzero(h == h[j_pos])[0][0]] = enter
-        h.sort()
+    for row in rows:
+        state.errors[int(row)] = PivotLimitError(
+            f"check-loss simplex exceeded {_PIVOT_BUDGET} pivots (anti-cycling rule engaged)"
+        )
+    for row in state.errors:
+        H[row] = np.sort(bases[row])
+    return state
 
-    raise PivotLimitError(
-        f"check-loss simplex exceeded {_PIVOT_BUDGET} pivots (anti-cycling rule engaged)"
-    )
+
+def _ratio_test(X, r, pos, neg, inv_xh, viol, d_plus, d_minus, opt_tol, bland):
+    """One row's pivot at a non-optimal vertex: ``(j_pos, entering point)``,
+    or None when no residual crosses zero along the chosen edge."""
+    viol, tol = viol.tolist(), float(opt_tol)
+    candidates = [j for j, v in enumerate(viol) if v > tol]
+    # h is kept sorted, so the first candidate is the least point index
+    j_pos = candidates[0] if bland else max(candidates, key=viol.__getitem__)
+    sigma = 1.0 if -d_plus[j_pos] >= -d_minus[j_pos] else -1.0
+    d0 = d_plus[j_pos] if sigma > 0 else d_minus[j_pos]
+
+    c = X @ (sigma * inv_xh[:, j_pos])
+    c_tol = 1e-13 * (1.0 + np.abs(c).max())
+    # Only residuals moving toward the other sign ever cross zero; the
+    # pinned-zero points are already inside d0 and never cross again.
+    idx = ((pos & (c > c_tol)) | (neg & (c < -c_tol))).nonzero()[0]
+    if idx.size == 0:
+        # The objective is bounded below, so a genuinely descending edge
+        # always has a crossing; an empty set means the violation was
+        # rounding noise.  The current vertex is optimal within tolerance.
+        return None
+    c = c[idx]
+    t = r[idx] / c
+    if bland:
+        return j_pos, int(idx[np.lexsort((idx, t))[0]])
+    gains = np.abs(c)
+    order = np.lexsort((idx, -gains, t))
+    cum = d0 + np.cumsum(gains[order])
+    hit = (cum >= 0.0).nonzero()[0]
+    # cum < 0 past the last crossing is the same rounding-noise case;
+    # step to the farthest crossing and let the next pass settle it.
+    return j_pos, int(idx[order[hit[0]]]) if hit.size else int(idx[order[-1]])
 
 
 def fit_quantile_linear(design, ys, tau: float, warm_basis=None) -> np.ndarray:
@@ -243,7 +304,13 @@ def fit_quantile_linear(design, ys, tau: float, warm_basis=None) -> np.ndarray:
         raise QuantileError("design must be (n, p) and ys length n")
     if not (0.0 < tau < 1.0):
         raise QuantileError(f"tau must be in (0, 1), got {tau}")
-    return _solve_check_loss(X, y, tau, warm_basis=warm_basis).beta
+    start = np.full(X.shape[1], -1, dtype=np.intp)
+    if warm_basis is not None and len(warm_basis) == start.size:
+        start[:] = warm_basis
+    state = _solve_check_loss(X, y, [tau], start, _zero_tol(y))
+    if state.errors:
+        raise state.errors[0]
+    return state.beta[0]
 
 
 @dataclass
@@ -280,6 +347,7 @@ def fit_segmented_quantile(
     refinements search a finer sub-grid between the incumbent's neighboring
     candidates; the refined optimum can only improve on the coarse one.
     ``init`` (typically a least-squares fit) seeds the first warm start.
+    This is the lockstep sweep of :func:`fit_tau_grid` with one tau.
 
     Raises
     ------
@@ -289,95 +357,131 @@ def fit_segmented_quantile(
     SegmentedError
         For data that cannot support two breakpoints at all.
     """
-    if not (0.0 < tau < 1.0):
-        raise QuantileError(f"tau must be in (0, 1), got {tau}")
+    (fit,) = _fit_taus(ds, [tau], init, min_segment_points, refine_rounds, refine_points)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _fit_taus(
+    ds: BivariateDataset,
+    taus: Sequence[float],
+    init: SegmentedModel | None,
+    min_segment_points: int,
+    refine_rounds: int,
+    refine_points: int,
+) -> list:
+    """The lockstep sweep behind :func:`fit_segmented_quantile` and
+    :func:`fit_tau_grid`: one entry per tau, its fit or the error it ended with.
+
+    The candidate pairs are walked once; at each pair the hinge columns are
+    written once and every tau still in play is solved in one block.  Each
+    tau keeps its own warm basis, incumbent and failure count, then runs its
+    own refinement, so its fit is the one it would get alone.
+    """
+    out: list = []
+    for tau in taus:
+        if not (0.0 < tau < 1.0):
+            out.append(QuantileError(f"tau must be in (0, 1), got {tau}"))
+        elif ds.n * min(tau, 1.0 - tau) < 1.0:
+            out.append(QuantileError(
+                f"tau={tau} is too extreme for n={ds.n}: fewer than one residual is "
+                "expected on one side of the fit"
+            ))
+        else:
+            out.append(None)
+    live = [k for k, fit in enumerate(out) if fit is None]
+    if not live:
+        return out
     n = ds.n
-    if n * min(tau, 1.0 - tau) < 1.0:
-        raise QuantileError(
-            f"tau={tau} is too extreme for n={n}: fewer than one residual is "
-            "expected on one side of the fit"
-        )
     min_pts = int(min_segment_points)
-    if n < 7:
-        raise SegmentedError(f"need at least 7 points for 6 parameters, got {n}")
-    if n < 3 * min_pts:
-        raise SegmentedError(f"need at least {3 * min_pts} points for {min_pts} per segment, got {n}")
     xs, ys = ds.xs, ds.ys
-    if np.unique(xs).size < 6:
-        raise SegmentedError("need at least 6 distinct x values")
+    try:
+        if n < 7:
+            raise SegmentedError(f"need at least 7 points for 6 parameters, got {n}")
+        if n < 3 * min_pts:
+            raise SegmentedError(f"need at least {3 * min_pts} points for {min_pts} per segment, got {n}")
+        if np.unique(xs).size < 6:
+            raise SegmentedError("need at least 6 distinct x values")
+        u, _, admissible = _segment_cells(xs, min_pts)
+        # the candidate grid: the midpoints of every admissible pair of cells
+        mids = (u[:-1] + u[1:]) / 2.0
+        i_idx, j_idx = np.nonzero(admissible)
+        if i_idx.size == 0:
+            raise SegmentedError(
+                f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
+            )
+    except SegmentedError as exc:
+        for k in live:
+            out[k] = exc
+        return out
 
-    u, _, admissible = _segment_cells(xs, min_pts)
-    # the candidate grid: the midpoints of every admissible pair of cells
-    mids = (u[:-1] + u[1:]) / 2.0
-    i_idx, j_idx = np.nonzero(admissible)
-    if i_idx.size == 0:
-        raise SegmentedError(
-            f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
-        )
-
-    basis = None
+    tau_arr = np.asarray(taus, dtype=float)
+    # every tau starts from the same warm basis: -1 rows start from QR
+    bases = np.full((len(out), 4), -1, dtype=np.intp)
     if init is not None:
         a1, a2 = init.alpha
         if _pair_admissible(u, admissible, a1, a2):
             resid = np.abs(ys - eval_segmented(init, xs))
-            basis = np.sort(np.argsort(resid, kind="stable")[:4])
-
-    best = None  # (objective, a1, a2, beta)
-    failures = 0
+            bases[:] = np.sort(np.argsort(resid, kind="stable")[:4])
+    best: list = [None] * len(out)  # per tau: (objective, a1, a2, beta)
+    failures = [0] * len(out)
     # One design buffer for the whole sweep; only the hinge columns change.
     X = np.column_stack([np.ones_like(xs), xs, xs, xs])
-    ztol = 1e-11 * (1.0 + float(np.median(np.abs(ys))))
+    ztol = _zero_tol(ys)
 
-    def try_pair(a1, a2):
-        nonlocal basis, best, failures
+    def try_pair(a1, a2, rows):
         np.maximum(xs - a1, 0.0, out=X[:, 2])
         np.maximum(xs - a2, 0.0, out=X[:, 3])
-        try:
-            state = _solve_check_loss(
-                X, ys, tau, warm_basis=basis, ztol=ztol, trusted_basis=basis is not None
-            )
-        except PivotLimitError:
-            failures += 1
-            return
-        except RankDeficiencyError:
-            return
-        basis = state.basis
-        key = (state.objective, a1, a2)
-        if best is None or key < (best[0], best[1], best[2]):
-            best = (state.objective, a1, a2, state.beta.copy())
+        state = _solve_check_loss(X, ys, tau_arr[rows], bases[rows], ztol)
+        bases[rows] = state.basis
+        for m, (k, objective) in enumerate(zip(rows.tolist(), state.objective.tolist())):
+            if m in state.errors:
+                failures[k] += isinstance(state.errors[m], PivotLimitError)
+            elif best[k] is None or (objective, a1, a2) < best[k][:3]:
+                best[k] = (objective, a1, a2, state.beta[m].copy())
 
+    rows = np.array(live, dtype=np.intp)
     for i, j in zip(i_idx, j_idx):
-        try_pair(float(mids[i]), float(mids[j]))
-    if best is None:
-        raise QuantileError(f"quantile fit failed at every candidate breakpoint pair (tau={tau})")
+        try_pair(float(mids[i]), float(mids[j]), rows)
 
     m = mids.size
-    for _ in range(max(0, int(refine_rounds))):
-        _, a1_c, a2_c, _ = best
-        i_c = int(np.searchsorted(mids, a1_c))
-        j_c = int(np.searchsorted(mids, a2_c))
-        lo1 = mids[max(i_c - 1, 0)]
-        hi1 = mids[min(i_c + 1, m - 1)] if i_c < m else mids[-1]
-        lo2 = mids[max(j_c - 1, 0)]
-        hi2 = mids[min(j_c + 1, m - 1)] if j_c < m else mids[-1]
-        grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), refine_points)
-        grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), refine_points)
-        for a1 in grid1:
-            for a2 in grid2:
-                if _pair_admissible(u, admissible, a1, a2):
-                    try_pair(float(a1), float(a2))
+    for k in live:
+        if best[k] is None:
+            out[k] = QuantileError(f"quantile fit failed at every candidate breakpoint pair (tau={taus[k]})")
+            continue
+        for _ in range(max(0, int(refine_rounds))):
+            _, a1_c, a2_c, _ = best[k]
+            i_c = int(np.searchsorted(mids, a1_c))
+            j_c = int(np.searchsorted(mids, a2_c))
+            lo1 = mids[max(i_c - 1, 0)]
+            hi1 = mids[min(i_c + 1, m - 1)] if i_c < m else mids[-1]
+            lo2 = mids[max(j_c - 1, 0)]
+            hi2 = mids[min(j_c + 1, m - 1)] if j_c < m else mids[-1]
+            grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), refine_points)
+            grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), refine_points)
+            for a1 in grid1:
+                for a2 in grid2:
+                    if _pair_admissible(u, admissible, a1, a2):
+                        try_pair(float(a1), float(a2), np.array([k]))
+        objective, a1, a2, beta = best[k]
+        out[k] = QuantileSegmentedFit(
+            tau=float(taus[k]),
+            model=SegmentedModel(beta=tuple(float(v) for v in beta), alpha=(a1, a2)),
+            objective=objective,
+            status="optimal" if failures[k] == 0 else "grid-fallback",
+            residuals=ys - segmented_design(xs, a1, a2) @ beta,
+            n=n,
+        )
+    return out
 
-    objective, a1, a2, beta = best
-    model = SegmentedModel(beta=tuple(float(v) for v in beta), alpha=(a1, a2))
-    residuals = ys - segmented_design(xs, a1, a2) @ beta
-    return QuantileSegmentedFit(
-        tau=float(tau),
-        model=model,
-        objective=float(objective),
-        status="optimal" if failures == 0 else "grid-fallback",
-        residuals=residuals,
-        n=n,
-    )
+
+def check_tau_grid(taus: Sequence[float]) -> list[float]:
+    """The grid as a list, which must be strictly increasing."""
+    taus = list(taus)
+    if sorted(taus) != taus or len(set(taus)) != len(taus):
+        raise QuantileError("tau grid must be strictly increasing")
+    return taus
 
 
 def fit_tau_grid(
@@ -386,20 +490,23 @@ def fit_tau_grid(
     init: SegmentedModel | None = None,
     min_segment_points: int = 3,
 ):
-    """Fit every tau in the grid; returns (fits, failures) where failures is
-    a list of ``(tau, message)`` for levels that could not be fit."""
-    taus = list(taus)
-    if sorted(taus) != taus or len(set(taus)) != len(taus):
-        raise QuantileError("tau grid must be strictly increasing")
+    """Fit every tau in the grid in one lockstep sweep; returns (fits,
+    failures) where failures is a list of ``(tau, message)`` for levels that
+    could not be fit.
+
+    The candidate pairs are walked once for the whole grid, and at each pair
+    one block simplex solves every tau from its own warm basis.  Each tau's
+    chain of bases, and so its fit, is byte-identical to
+    ``fit_segmented_quantile(ds, tau, init, min_segment_points)``.
+    """
+    taus = check_tau_grid(taus)
     fits: list[QuantileSegmentedFit] = []
     failures: list[tuple[float, str]] = []
-    for tau in taus:
-        try:
-            fits.append(
-                fit_segmented_quantile(ds, tau, init=init, min_segment_points=min_segment_points)
-            )
-        except (QuantileError, SegmentedError) as exc:
-            failures.append((float(tau), str(exc)))
+    for tau, fit in zip(taus, _fit_taus(ds, taus, init, min_segment_points, 1, 9)):
+        if isinstance(fit, Exception):
+            failures.append((float(tau), str(fit)))
+        else:
+            fits.append(fit)
     return fits, failures
 
 

@@ -75,6 +75,41 @@ def test_pqrm_tau_grid_cardinality(tmp_path):
     assert len(bands) == 1
 
 
+def test_pqrm_band_taus_ride_in_the_grid_sweep(tmp_path, monkeypatch):
+    """The band taus missing from --tau-grid are fitted in the grid's one
+    sweep, each exactly as when fitted alone; the table keeps the grid taus."""
+    import breakline.cli as cli
+    from breakline.dataset import load_dataset
+    from breakline.quantile import fit_segmented_quantile
+
+    sweeps = []
+    fit_tau_grid = cli.fit_tau_grid
+
+    def recording(ds, taus, **kwargs):
+        sweeps.append(list(taus))
+        return fit_tau_grid(ds, taus, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_tau_grid", recording)
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=5, n=60)
+    out = tmp_path / "pqrm95"
+    code = main(
+        [
+            "pqrm", "--input", str(csv_path), "--x", "x", "--y", "y",
+            "--tau-grid", "0.1,0.5,0.9", "--gamma", "0.95", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert sweeps == [[0.025, 0.1, 0.5, 0.9, 0.975]]
+    table = json.loads((out / "intervals.json").read_text())
+    assert [row["tau"] for row in table["rows"]] == [0.1, 0.5, 0.9]
+    ds = load_dataset(str(csv_path), x_column="x", y_column="y")
+    init = cli.fit_segmented(ds).model
+    rows = list(csv.DictReader((out / "band_gamma095.csv").read_text().splitlines()[1:]))
+    for column, tau in (("lower", 0.025), ("upper", 0.975)):
+        alone = cli.eval_segmented(fit_segmented_quantile(ds, tau, init=init).model, ds.xs)
+        assert [float(r[column]) for r in rows] == alone.tolist()
+
+
 def test_pqrm_default_grid_is_deciles(tmp_path):
     csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=4, n=40)
     out = tmp_path / "pqrm_default"

@@ -261,6 +261,7 @@ def test_block_with_a_singular_row_raises_like_that_row():
     with pytest.raises(SingularFitError) as block:
         fitter(xs, np.vstack([others[:1], singular, others[1:]]))
     assert single.value.target_x == block.value.target_x == 3.0
+    assert "x=3.0:" in str(single.value) and str(single.value) == str(block.value)
     with pytest.raises(SingularFitError):
         _lstsq_reference(xs, singular, config)
     fitted = fitter(xs, others)

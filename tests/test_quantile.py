@@ -3,9 +3,18 @@ import pytest
 
 from breakline.bands import PredictionBand
 from breakline.dataset import BivariateDataset
-from breakline.piecewise import SegmentedModel, eval_segmented, fit_segmented
+import breakline.quantile as quantile_module
+from breakline.piecewise import (
+    SegmentedModel,
+    _pair_admissible,
+    _segment_cells,
+    eval_segmented,
+    fit_segmented,
+    segmented_design,
+)
 from breakline.quantile import (
     DEFAULT_TAU_GRID,
+    PivotLimitError,
     QuantileError,
     QuantileSegmentedFit,
     RankDeficiencyError,
@@ -306,3 +315,226 @@ def test_fit_tau_grid_collects_failures():
     assert len(failures) == 1 and failures[0][0] == 0.04
     with pytest.raises(QuantileError):
         fit_tau_grid(ds, [0.5, 0.3])  # not increasing
+
+
+# The scalar exchange simplex and per-tau sweep that the lockstep block
+# solver replaced, kept verbatim as the reference for bit identity.
+def _scalar_solve(X, y, tau, warm_basis=None, ztol=None, trusted_basis=False):
+    n, p = X.shape
+    h = None
+    if warm_basis is not None and len(warm_basis) == p:
+        if trusted_basis:
+            h = np.asarray(warm_basis).copy()
+        else:
+            cand = np.sort(np.asarray(warm_basis))
+            if cand[0] >= 0 and cand[-1] < n and np.unique(cand).size == p:
+                h = cand
+    if h is None:
+        h = quantile_module._initial_basis(X)
+    if ztol is None:
+        ztol = 1e-11 * (1.0 + float(np.median(np.abs(y))))
+    for pivot in range(quantile_module._PIVOT_BUDGET):
+        try:
+            inv_xh = np.linalg.inv(X[h])
+        except np.linalg.LinAlgError:
+            h = quantile_module._initial_basis(X)
+            inv_xh = np.linalg.inv(X[h])
+        b = inv_xh @ y[h]
+        G = X @ inv_xh
+        r = y - X @ b
+        off = np.ones(n, dtype=bool)
+        off[h] = False
+        abs_r = np.abs(r)
+        neg = off & (r < -ztol)
+        pos = off & (r > ztol)
+        psi = tau * off
+        psi[neg] -= 1.0
+        zero = off & (abs_r <= ztol)
+        any_zero = bool(zero.any())
+        if any_zero:
+            psi[zero] = 0.0
+        s_fixed = G.T @ psi
+        if any_zero:
+            gz = G[zero]
+            z_min = np.minimum(tau * gz, (tau - 1.0) * gz).sum(axis=0)
+            z_max = np.maximum(tau * gz, (tau - 1.0) * gz).sum(axis=0)
+        else:
+            z_min = np.zeros(p)
+            z_max = z_min
+        opt_tol = 1e-10 * (1.0 + float(np.abs(G).sum()))
+        d_plus = (1.0 - tau) - (s_fixed + z_min)
+        d_minus = tau + (s_fixed + z_max)
+        viol = np.maximum(-d_plus, -d_minus)
+        if np.all(viol <= opt_tol):
+            return float(np.sum(r * (tau - (r < 0.0)))), b, h.copy()
+        bland = pivot >= quantile_module._BLAND_AFTER
+        candidates = np.nonzero(viol > opt_tol)[0]
+        if bland:
+            j_pos = int(candidates[0])
+        else:
+            j_pos = int(candidates[np.argmax(viol[candidates])])
+        sigma = 1.0 if -d_plus[j_pos] >= -d_minus[j_pos] else -1.0
+        d0 = d_plus[j_pos] if sigma > 0 else d_minus[j_pos]
+        dvec = sigma * inv_xh[:, j_pos]
+        c = X @ dvec
+        c_tol = 1e-13 * (1.0 + np.max(np.abs(c)))
+        crossing = (pos & (c > c_tol)) | (neg & (c < -c_tol))
+        idx = np.nonzero(crossing)[0]
+        if idx.size == 0:
+            return float(np.sum(r * (tau - (r < 0.0)))), b, h.copy()
+        t = r[idx] / c[idx]
+        gains = np.abs(c[idx])
+        if bland:
+            order = np.lexsort((idx, t))
+            enter = int(idx[order[0]])
+        else:
+            order = np.lexsort((idx, -gains, t))
+            cum = d0 + np.cumsum(gains[order])
+            hit = np.nonzero(cum >= 0.0)[0]
+            enter = int(idx[order[hit[0]]]) if hit.size else int(idx[order[-1]])
+        h[np.nonzero(h == h[j_pos])[0][0]] = enter
+        h.sort()
+    raise PivotLimitError("pivot budget")
+
+
+def _scalar_sweep(ds, tau, init=None, min_pts=3, refine_rounds=1, refine_points=9):
+    """The per-tau sweep: (objective, alpha, beta, residuals, status), or the
+    failure message."""
+    n = ds.n
+    if n * min(tau, 1.0 - tau) < 1.0:
+        return f"tau={tau} is too extreme for n={n}: fewer than one residual is expected on one side of the fit"
+    xs, ys = ds.xs, ds.ys
+    u, _, admissible = _segment_cells(xs, min_pts)
+    mids = (u[:-1] + u[1:]) / 2.0
+    i_idx, j_idx = np.nonzero(admissible)
+    basis = None
+    if init is not None:
+        a1, a2 = init.alpha
+        if _pair_admissible(u, admissible, a1, a2):
+            resid = np.abs(ys - eval_segmented(init, xs))
+            basis = np.sort(np.argsort(resid, kind="stable")[:4])
+    best = None
+    failures = 0
+    X = np.column_stack([np.ones_like(xs), xs, xs, xs])
+    ztol = 1e-11 * (1.0 + float(np.median(np.abs(ys))))
+
+    def try_pair(a1, a2):
+        nonlocal basis, best, failures
+        np.maximum(xs - a1, 0.0, out=X[:, 2])
+        np.maximum(xs - a2, 0.0, out=X[:, 3])
+        try:
+            objective, beta, h = _scalar_solve(
+                X, ys, tau, warm_basis=basis, ztol=ztol, trusted_basis=basis is not None
+            )
+        except PivotLimitError:
+            failures += 1
+            return
+        except RankDeficiencyError:
+            return
+        basis = h
+        if best is None or (objective, a1, a2) < best[:3]:
+            best = (objective, a1, a2, beta.copy())
+
+    for i, j in zip(i_idx, j_idx):
+        try_pair(float(mids[i]), float(mids[j]))
+    if best is None:
+        return f"quantile fit failed at every candidate breakpoint pair (tau={tau})"
+    m = mids.size
+    for _ in range(refine_rounds):
+        _, a1_c, a2_c, _ = best
+        i_c = int(np.searchsorted(mids, a1_c))
+        j_c = int(np.searchsorted(mids, a2_c))
+        lo1 = mids[max(i_c - 1, 0)]
+        hi1 = mids[min(i_c + 1, m - 1)] if i_c < m else mids[-1]
+        lo2 = mids[max(j_c - 1, 0)]
+        hi2 = mids[min(j_c + 1, m - 1)] if j_c < m else mids[-1]
+        for a1 in np.linspace(min(lo1, a1_c), max(hi1, a1_c), refine_points):
+            for a2 in np.linspace(min(lo2, a2_c), max(hi2, a2_c), refine_points):
+                if _pair_admissible(u, admissible, a1, a2):
+                    try_pair(float(a1), float(a2))
+    objective, a1, a2, beta = best
+    residuals = ys - segmented_design(xs, a1, a2) @ beta
+    return objective, (a1, a2), tuple(float(v) for v in beta), residuals, (
+        "optimal" if failures == 0 else "grid-fallback"
+    )
+
+
+def _bit_identity_datasets():
+    truth = SegmentedModel(beta=(10.0, 0.0, -5.0, 5.0), alpha=(0.3, 0.6))
+    for n in (40, 100):
+        for kind in ("continuous", "half-unit tied", "repeated x"):
+            rng = np.random.default_rng([n, len(kind)])
+            if kind == "repeated x":
+                xs = np.repeat(np.linspace(0.0, 1.0, n // 2), 2)
+            else:
+                xs = np.sort(rng.uniform(0.0, 1.0, n))
+            ys = eval_segmented(truth, xs) + 0.5 * (1.0 + 1.5 * xs) * rng.standard_normal(n)
+            if kind == "half-unit tied":
+                ys = np.round(2.0 * ys) / 2.0
+            yield f"{kind} n={n}", BivariateDataset.from_arrays(xs, ys)
+
+
+def _assert_grid_matches_scalar(ds, taus, init, label):
+    fits, failures = fit_tau_grid(ds, taus, init=init)
+    got = {f.tau: f for f in fits}
+    got.update(failures)
+    assert len(got) == len(taus)
+    for tau in taus:
+        want = _scalar_sweep(ds, tau, init=init)
+        if isinstance(want, str):
+            assert got[tau] == want, (label, tau)
+            continue
+        fit = got[tau]
+        objective, alpha, beta, residuals, status = want
+        assert fit.objective == objective, (label, tau)
+        assert fit.model.alpha == alpha, (label, tau)
+        assert fit.model.beta == beta, (label, tau)
+        assert np.array_equal(fit.residuals, residuals), (label, tau)
+        assert fit.status == status, (label, tau)
+    return fits
+
+
+def test_tau_grid_is_bit_identical_to_scalar_sweep(monkeypatch):
+    """The lockstep grid gives every tau exactly the fit of the scalar
+    per-tau sweep: objective, breakpoints, coefficients, residuals, status."""
+    for label, ds in _bit_identity_datasets():
+        init = fit_segmented(ds).model
+        for start in (None, init):
+            _assert_grid_matches_scalar(ds, list(DEFAULT_TAU_GRID), start, label)
+    # a level too extreme for n = 40 fails with the scalar sweep's message
+    _, ds = next(_bit_identity_datasets())
+    _assert_grid_matches_scalar(ds, [0.02, 0.25, 0.5, 0.975], fit_segmented(ds).model, "extreme")
+    # a pivot budget this low leaves some levels on the grid-fallback path
+    monkeypatch.setattr(quantile_module, "_PIVOT_BUDGET", 3)
+    fits = _assert_grid_matches_scalar(ds, [0.1, 0.5, 0.9], None, "low budget")
+    assert "grid-fallback" in {f.status for f in fits}
+
+
+def test_singular_basis_in_block_restarts_only_its_row():
+    """A warm basis whose matrix is singular restarts its own row from QR;
+    the other rows of the block keep their chains, and every row equals
+    its block of one."""
+    xs = np.repeat(np.linspace(0.0, 1.0, 15), 2)  # each x twice
+    rng = np.random.default_rng(4)
+    ys = eval_segmented(TRUTH, xs) + 0.3 * rng.standard_normal(xs.size)
+    X = segmented_design(xs, 0.3, 0.6)
+    ztol = quantile_module._zero_tol(ys)
+    bases = np.array([[0, 1, 10, 20], [2, 9, 19, 28], [-1, -1, -1, -1], [3, 3, 12, 25]])
+    taus = [0.2, 0.5, 0.7, 0.9]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(X[bases[0]])  # points 0 and 1 share their x
+    block = quantile_module._solve_check_loss(X, ys, taus, bases, ztol)
+    assert not block.errors
+    for i, tau in enumerate(taus):
+        alone = quantile_module._solve_check_loss(X, ys, [tau], bases[i : i + 1], ztol)
+        assert block.objective[i] == alone.objective[0]
+        assert np.array_equal(block.beta[i], alone.beta[0])
+        assert np.array_equal(block.basis[i], alone.basis[0])
+        objective, beta, _ = _scalar_solve(X, ys, tau, warm_basis=bases[i])
+        assert block.objective[i] == objective and np.array_equal(block.beta[i], beta)
+    # a rank-deficient design fails every row that needs the QR start, alone
+    flat = X.copy()
+    flat[:, 3] = flat[:, 2]
+    state = quantile_module._solve_check_loss(flat, ys, [0.3, 0.6], [[-1] * 4, [0, 1, 2, 3]], ztol)
+    assert set(state.errors) == {0, 1}
+    assert all(isinstance(e, RankDeficiencyError) for e in state.errors.values())
