@@ -16,9 +16,7 @@ truth = bl.SegmentedModel(beta=(10.0, 0.0, -20.0, 20.0), alpha=(0.3, 0.6))
 spec = bl.SyntheticSpec(model=truth, n=80, noise=bl.WedgeNoise(0.4, 1.5), rng=bl.RngSpec(5))
 ds = bl.generate(spec)
 
-# least-squares fit seeds the quantile sweeps, mirroring the usual workflow
-ls_fit = bl.fit_segmented(ds)
-fits, failures = bl.fit_tau_grid(ds, init=ls_fit.model)
+fits, failures = bl.fit_tau_grid(ds)
 assert not failures
 
 print(f"{'tau':>5} {'alpha1':>8} {'alpha2':>8} {'objective':>10}")

@@ -23,7 +23,7 @@ gamma = 0.80
 ls_fit = bl.fit_segmented(ds)
 (pl_band,) = bl.plrm_prediction_band(ls_fit, ds, [gamma])
 
-fits, _ = bl.fit_tau_grid(ds, init=ls_fit.model)
+fits, _ = bl.fit_tau_grid(ds)
 table = bl.quantile_breakpoint_intervals(fits)
 by_tau = {round(f.tau, 2): f for f in fits}
 pq_band = bl.pqrm_prediction_band(by_tau[0.1], by_tau[0.5], by_tau[0.9], ds)

@@ -3,9 +3,9 @@
 The band envelopes are piecewise linear between their sampled x values.  The
 grid estimator partitions the x range into uniform cells and sums
 ``height(midpoint) * width`` per cell, clamping negative heights (crossed
-envelopes) at zero.  The knot-aware trapezoid mode integrates the clamped
-piecewise-linear height exactly and serves as the internal oracle for the
-grid mode.
+envelopes) at zero.  The knot-aware trapezoid integral
+(:func:`band_area_exact`) integrates the clamped piecewise-linear height
+exactly and serves as the internal oracle for the grid estimator.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def band_area_exact(band: PredictionBand) -> float:
     return float(total)
 
 
-def compute_area(band: PredictionBand, config: AreaConfig = AreaConfig(), exact: bool = False) -> float:
-    """Compute the area, store it on the band, and return it."""
-    value = band_area_exact(band) if exact else band_area(band, config)
+def compute_area(band: PredictionBand, config: AreaConfig = AreaConfig()) -> float:
+    """Compute the grid-cell area, store it on the band, and return it."""
+    value = band_area(band, config)
     band.area = value
     return value
 

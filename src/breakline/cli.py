@@ -277,12 +277,9 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
 
     The band's taus missing from the grid are fitted in the grid's lockstep
     sweep; the interval table uses the grid's taus only."""
-    ls_fit = fit_segmented(ds, min_segment_points=min_seg_points)
     check_tau_grid(taus)
     band_taus = _band_taus(gamma)
-    sweep, sweep_failures = fit_tau_grid(
-        ds, sorted(set(taus) | set(band_taus)), init=ls_fit.model, min_segment_points=min_seg_points
-    )
+    sweep, sweep_failures = fit_tau_grid(ds, sorted(set(taus) | set(band_taus)), min_segment_points=min_seg_points)
     swept = {f.tau: f for f in sweep}
     failed = dict(sweep_failures)
     fits = [swept[t] for t in taus if t in swept]
@@ -298,7 +295,7 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
             failures.append((t, failed[t]))
     fitted = set(band_taus) <= set(by_tau)
     band = pqrm_prediction_band(*(by_tau[t] for t in band_taus), ds) if fitted else None
-    return ls_fit, fits, table, band, failures
+    return fits, table, band, failures
 
 
 def cmd_pqrm(args, out: _Outputs) -> int:
@@ -306,7 +303,7 @@ def cmd_pqrm(args, out: _Outputs) -> int:
     formats = _formats(args)
     taus = _taus(args)
     (gamma,) = _gammas(args, (0.80,))
-    _, fits, table, band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
+    fits, table, band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     if "csv" in formats:
         write_tau_table_csv(out.path("tau_table.csv"), table)
     if "json" in formats:
@@ -351,7 +348,8 @@ def cmd_compare(args, out: _Outputs) -> int:
     taus = _taus(args)
     # the pool's center fit runs first, so loess errors surface before the slow part
     (bl_band,) = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, gamma), [gamma], method="BL")
-    ls_fit, _, table, pq_band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
+    ls_fit = fit_segmented(ds, min_segment_points=args.min_seg_points)
+    _, table, pq_band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], args.bootstrap, args.seed)
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")

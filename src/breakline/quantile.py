@@ -9,9 +9,9 @@ exactly as a linear program by a specialized exchange simplex (the classic
 vertex structure of least-absolute-deviation fitting: an optimal basic
 solution interpolates exactly ``p`` observations).  Breakpoints are profiled
 over a candidate grid (midpoints between consecutive distinct x values, under
-the least-squares fitter's segment rule), with an optional finer local
-refinement around the incumbent, so the returned fit is the global optimum
-on the candidate grid.
+the least-squares fitter's input checks and segment rule), then over one finer
+local grid around the incumbent, so the returned fit is the global optimum on
+the candidate grid.
 
 A tau grid is fitted in one lockstep sweep: the candidate pairs are walked
 once, and at each pair the hinge columns are written once and a block
@@ -38,10 +38,9 @@ from scipy.linalg import qr as _qr
 from .bands import PredictionBand
 from .dataset import BivariateDataset
 from .piecewise import (
-    SegmentedError,
     SegmentedModel,
+    _design_profile,
     _pair_admissible,
-    _segment_cells,
     eval_segmented,
     segmented_design,
 )
@@ -50,6 +49,9 @@ DEFAULT_TAU_GRID = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
 
 _PIVOT_BUDGET = 2000
 _BLAND_AFTER = 400
+# the local refinement: rounds, and points per breakpoint in each round's grid
+_REFINE_ROUNDS = 1
+_REFINE_POINTS = 9
 
 
 class QuantileError(ValueError):
@@ -284,7 +286,7 @@ def _ratio_test(X, r, pos, neg, inv_xh, viol, d_plus, d_minus, opt_tol, bland):
     return j_pos, int(idx[order[hit[0]]]) if hit.size else int(idx[order[-1]])
 
 
-def fit_quantile_linear(design, ys, tau: float, warm_basis=None) -> np.ndarray:
+def fit_quantile_linear(design, ys, tau: float) -> np.ndarray:
     """Exact check-loss linear fit; returns an optimal basic coefficient vector.
 
     Minimizes ``sum_i rho_tau(y_i - design_i . b)`` via the exchange simplex.
@@ -304,10 +306,7 @@ def fit_quantile_linear(design, ys, tau: float, warm_basis=None) -> np.ndarray:
         raise QuantileError("design must be (n, p) and ys length n")
     if not (0.0 < tau < 1.0):
         raise QuantileError(f"tau must be in (0, 1), got {tau}")
-    start = np.full(X.shape[1], -1, dtype=np.intp)
-    if warm_basis is not None and len(warm_basis) == start.size:
-        start[:] = warm_basis
-    state = _solve_check_loss(X, y, [tau], start, _zero_tol(y))
+    state = _solve_check_loss(X, y, [tau], np.full(X.shape[1], -1, dtype=np.intp), _zero_tol(y))
     if state.errors:
         raise state.errors[0]
     return state.beta[0]
@@ -330,55 +329,47 @@ class QuantileSegmentedFit:
     n: int
 
 
-def fit_segmented_quantile(
-    ds: BivariateDataset,
-    tau: float,
-    init: SegmentedModel | None = None,
-    min_segment_points: int = 3,
-    refine_rounds: int = 1,
-    refine_points: int = 9,
-) -> QuantileSegmentedFit:
+def fit_segmented_quantile(ds: BivariateDataset, tau: float, min_segment_points: int = 3) -> QuantileSegmentedFit:
     """Profile the breakpoint pair over the candidate grid at one tau level.
 
     The candidate grid is the midpoints between consecutive distinct x values,
     paired under the least-squares fitter's rule of at least
     ``min_segment_points`` per segment; each pair's inner problem is an exact
-    LP on the basis ``(1, x, (x-a1)+, (x-a2)+)``.  ``refine_rounds`` local
-    refinements search a finer sub-grid between the incumbent's neighboring
-    candidates; the refined optimum can only improve on the coarse one.
-    ``init`` (typically a least-squares fit) seeds the first warm start.
-    This is the lockstep sweep of :func:`fit_tau_grid` with one tau.
+    LP on the basis ``(1, x, (x-a1)+, (x-a2)+)``.  One local refinement then
+    searches a finer sub-grid between the incumbent's neighboring candidates;
+    the refined optimum can only improve on the coarse one.  This is the
+    lockstep sweep of :func:`fit_tau_grid` with one tau.
 
     Raises
     ------
+    SegmentedError
+        For data that cannot support two breakpoints at all, by the checks
+        of :func:`~breakline.piecewise.fit_segmented`, which run first.
     QuantileError
         For a tau so extreme that fewer than one residual is expected on one
         side (``n * min(tau, 1 - tau) < 1``), or if every candidate fails.
-    SegmentedError
-        For data that cannot support two breakpoints at all.
     """
-    (fit,) = _fit_taus(ds, [tau], init, min_segment_points, refine_rounds, refine_points)
+    (fit,) = _fit_taus(ds, [tau], min_segment_points)
     if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def _fit_taus(
-    ds: BivariateDataset,
-    taus: Sequence[float],
-    init: SegmentedModel | None,
-    min_segment_points: int,
-    refine_rounds: int,
-    refine_points: int,
-) -> list:
+def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: int) -> list:
     """The lockstep sweep behind :func:`fit_segmented_quantile` and
     :func:`fit_tau_grid`: one entry per tau, its fit or the error it ended with.
 
-    The candidate pairs are walked once; at each pair the hinge columns are
-    written once and every tau still in play is solved in one block.  Each
-    tau keeps its own warm basis, incumbent and failure count, then runs its
-    own refinement, so its fit is the one it would get alone.
+    The data pass the least-squares fitter's checks first, whose
+    :class:`~breakline.piecewise.SegmentedError` fails the whole grid.  The
+    candidate pairs are walked once; at each pair the hinge columns are
+    written once and every tau still in play is solved in one block.  Every
+    tau starts from the QR basis at the first pair and keeps its own warm
+    basis, incumbent and failure count, then runs its own refinement, so its
+    fit is the one it would get alone.
     """
+    xs, ys = ds.xs, ds.ys
+    profile = _design_profile(xs, min_segment_points)
+    u, admissible = profile.u_orig, profile.admissible
     out: list = []
     for tau in taus:
         if not (0.0 < tau < 1.0):
@@ -393,37 +384,12 @@ def _fit_taus(
     live = [k for k, fit in enumerate(out) if fit is None]
     if not live:
         return out
-    n = ds.n
-    min_pts = int(min_segment_points)
-    xs, ys = ds.xs, ds.ys
-    try:
-        if n < 7:
-            raise SegmentedError(f"need at least 7 points for 6 parameters, got {n}")
-        if n < 3 * min_pts:
-            raise SegmentedError(f"need at least {3 * min_pts} points for {min_pts} per segment, got {n}")
-        if np.unique(xs).size < 6:
-            raise SegmentedError("need at least 6 distinct x values")
-        u, _, admissible = _segment_cells(xs, min_pts)
-        # the candidate grid: the midpoints of every admissible pair of cells
-        mids = (u[:-1] + u[1:]) / 2.0
-        i_idx, j_idx = np.nonzero(admissible)
-        if i_idx.size == 0:
-            raise SegmentedError(
-                f"no breakpoint pair satisfies {min_pts} points per segment for n={n}"
-            )
-    except SegmentedError as exc:
-        for k in live:
-            out[k] = exc
-        return out
-
+    # the candidate grid: the midpoints of every admissible pair of cells
+    mids = (u[:-1] + u[1:]) / 2.0
+    i_idx, j_idx = np.nonzero(admissible)
     tau_arr = np.asarray(taus, dtype=float)
-    # every tau starts from the same warm basis: -1 rows start from QR
+    # every tau starts from the QR basis (a -1 row)
     bases = np.full((len(out), 4), -1, dtype=np.intp)
-    if init is not None:
-        a1, a2 = init.alpha
-        if _pair_admissible(u, admissible, a1, a2):
-            resid = np.abs(ys - eval_segmented(init, xs))
-            bases[:] = np.sort(np.argsort(resid, kind="stable")[:4])
     best: list = [None] * len(out)  # per tau: (objective, a1, a2, beta)
     failures = [0] * len(out)
     # One design buffer for the whole sweep; only the hinge columns change.
@@ -450,7 +416,7 @@ def _fit_taus(
         if best[k] is None:
             out[k] = QuantileError(f"quantile fit failed at every candidate breakpoint pair (tau={taus[k]})")
             continue
-        for _ in range(max(0, int(refine_rounds))):
+        for _ in range(_REFINE_ROUNDS):
             _, a1_c, a2_c, _ = best[k]
             i_c = int(np.searchsorted(mids, a1_c))
             j_c = int(np.searchsorted(mids, a2_c))
@@ -458,8 +424,8 @@ def _fit_taus(
             hi1 = mids[min(i_c + 1, m - 1)] if i_c < m else mids[-1]
             lo2 = mids[max(j_c - 1, 0)]
             hi2 = mids[min(j_c + 1, m - 1)] if j_c < m else mids[-1]
-            grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), refine_points)
-            grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), refine_points)
+            grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), _REFINE_POINTS)
+            grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), _REFINE_POINTS)
             for a1 in grid1:
                 for a2 in grid2:
                     if _pair_admissible(u, admissible, a1, a2):
@@ -471,7 +437,7 @@ def _fit_taus(
             objective=objective,
             status="optimal" if failures[k] == 0 else "grid-fallback",
             residuals=ys - segmented_design(xs, a1, a2) @ beta,
-            n=n,
+            n=ds.n,
         )
     return out
 
@@ -484,12 +450,7 @@ def check_tau_grid(taus: Sequence[float]) -> list[float]:
     return taus
 
 
-def fit_tau_grid(
-    ds: BivariateDataset,
-    taus: Sequence[float] = DEFAULT_TAU_GRID,
-    init: SegmentedModel | None = None,
-    min_segment_points: int = 3,
-):
+def fit_tau_grid(ds: BivariateDataset, taus: Sequence[float] = DEFAULT_TAU_GRID, min_segment_points: int = 3):
     """Fit every tau in the grid in one lockstep sweep; returns (fits,
     failures) where failures is a list of ``(tau, message)`` for levels that
     could not be fit.
@@ -497,12 +458,15 @@ def fit_tau_grid(
     The candidate pairs are walked once for the whole grid, and at each pair
     one block simplex solves every tau from its own warm basis.  Each tau's
     chain of bases, and so its fit, is byte-identical to
-    ``fit_segmented_quantile(ds, tau, init, min_segment_points)``.
+    ``fit_segmented_quantile(ds, tau, min_segment_points)``.  Data that
+    cannot support two breakpoints raise the
+    :class:`~breakline.piecewise.SegmentedError` of
+    :func:`~breakline.piecewise.fit_segmented` for the whole grid.
     """
     taus = check_tau_grid(taus)
     fits: list[QuantileSegmentedFit] = []
     failures: list[tuple[float, str]] = []
-    for tau, fit in zip(taus, _fit_taus(ds, taus, init, min_segment_points, 1, 9)):
+    for tau, fit in zip(taus, _fit_taus(ds, taus, min_segment_points)):
         if isinstance(fit, Exception):
             failures.append((float(tau), str(fit)))
         else:

@@ -210,7 +210,7 @@ def test_c07_band_area_correctness():
         bl.bootstrap_band(ds, bl.ols_line_fitter, bl.BandConfig(B=200, gamma=0.8, rng=bl.RngSpec(1))),
         *bl.plrm_prediction_band(ls, ds, [0.8]),
     ]
-    q_fits = {t: fit_segmented_quantile(ds, t, init=ls.model) for t in (0.1, 0.5, 0.9)}
+    q_fits = {t: fit_segmented_quantile(ds, t) for t in (0.1, 0.5, 0.9)}
     bands.append(bl.pqrm_prediction_band(q_fits[0.1], q_fits[0.5], q_fits[0.9], ds))
     worst_rel = 0.0
     for band in bands:
@@ -263,7 +263,7 @@ def test_c09_method_comparison_tendency():
         )
         ds = bl.generate(spec)
         ls = bl.fit_segmented(ds)
-        fits, failures = bl.fit_tau_grid(ds, init=ls.model)
+        fits, failures = bl.fit_tau_grid(ds)
         if failures:
             continue
         table = bl.quantile_breakpoint_intervals(fits)

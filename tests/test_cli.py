@@ -77,7 +77,8 @@ def test_pqrm_tau_grid_cardinality(tmp_path):
 
 def test_pqrm_band_taus_ride_in_the_grid_sweep(tmp_path, monkeypatch):
     """The band taus missing from --tau-grid are fitted in the grid's one
-    sweep, each exactly as when fitted alone; the table keeps the grid taus."""
+    sweep, each exactly as when fitted alone; the table keeps the grid taus,
+    and no least-squares fit runs."""
     import breakline.cli as cli
     from breakline.dataset import load_dataset
     from breakline.quantile import fit_segmented_quantile
@@ -89,7 +90,11 @@ def test_pqrm_band_taus_ride_in_the_grid_sweep(tmp_path, monkeypatch):
         sweeps.append(list(taus))
         return fit_tau_grid(ds, taus, **kwargs)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("pqrm ran a least-squares fit")
+
     monkeypatch.setattr(cli, "fit_tau_grid", recording)
+    monkeypatch.setattr(cli, "fit_segmented", refused)
     csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=5, n=60)
     out = tmp_path / "pqrm95"
     code = main(
@@ -103,10 +108,9 @@ def test_pqrm_band_taus_ride_in_the_grid_sweep(tmp_path, monkeypatch):
     table = json.loads((out / "intervals.json").read_text())
     assert [row["tau"] for row in table["rows"]] == [0.1, 0.5, 0.9]
     ds = load_dataset(str(csv_path), x_column="x", y_column="y")
-    init = cli.fit_segmented(ds).model
     rows = list(csv.DictReader((out / "band_gamma095.csv").read_text().splitlines()[1:]))
     for column, tau in (("lower", 0.025), ("upper", 0.975)):
-        alone = cli.eval_segmented(fit_segmented_quantile(ds, tau, init=init).model, ds.xs)
+        alone = cli.eval_segmented(fit_segmented_quantile(ds, tau).model, ds.xs)
         assert [float(r[column]) for r in rows] == alone.tolist()
 
 
@@ -196,15 +200,17 @@ def test_bad_transform_is_exit_2(tmp_path):
     assert code == 2
 
 
-def test_fit_failure_is_exit_3_with_quarantine(tmp_path):
+@pytest.mark.parametrize("command", ["plrm", "pqrm"])
+def test_fit_failure_is_exit_3_with_quarantine(tmp_path, command):
     # 8 points cannot support 3 points per segment
     csv_path = _synth(tmp_path, n=8)
     out = tmp_path / "fitfail"
-    code = main(["plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--out", str(out)])
+    code = main([command, "--input", str(csv_path), "--x", "x", "--y", "y", "--out", str(out)])
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["kind"] == "fit"
     assert record["exit_code"] == 3
+    assert record["error_type"] == "SegmentedError"
 
 
 def test_partial_tau_rows_exit_4(tmp_path):

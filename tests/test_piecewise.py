@@ -20,6 +20,7 @@ from breakline.piecewise import (
     segmented_design,
     segmented_fitter,
 )
+from breakline.quantile import fit_segmented_quantile, fit_tau_grid
 from breakline.rng import RngSpec, standard_normal
 from breakline.synthetic import ols_oracle
 
@@ -418,12 +419,25 @@ def test_band_bootstrap_switch():
 
 
 def test_preconditions():
+    """PLRM, one PQRM tau and a PQRM grid refuse the same data with the same
+    message: the quantile sweeps run the least-squares fitter's checks."""
     xs = np.linspace(0, 1, 8)
-    ds = BivariateDataset.from_arrays(xs, np.sin(xs))
-    with pytest.raises(SegmentedError):
-        fit_segmented(ds)  # fewer than 3 * min_segment_points
+    too_few = BivariateDataset.from_arrays(xs, np.sin(xs))
     few_distinct = BivariateDataset.from_arrays(
         np.repeat([0.0, 0.2, 0.4, 0.6, 0.8], 3), np.arange(15.0)
     )
-    with pytest.raises(SegmentedError, match="distinct"):
-        fit_segmented(few_distinct)
+    cases = [
+        (too_few, 3, "need at least 9 points for 3 per segment, got 8"),
+        (few_distinct, 3, "need at least 6 distinct x values"),
+        (_noisy(n=30), 1, "min_segment_points must be at least 2"),
+    ]
+    entry_points = {
+        "fit_segmented": fit_segmented,
+        "fit_segmented_quantile": lambda ds, **kw: fit_segmented_quantile(ds, 0.5, **kw),
+        "fit_tau_grid": fit_tau_grid,
+    }
+    for ds, min_pts, message in cases:
+        for name, fit in entry_points.items():
+            with pytest.raises(SegmentedError) as caught:
+                fit(ds, min_segment_points=min_pts)
+            assert str(caught.value) == message, name
