@@ -7,7 +7,7 @@ and its quantile-regression counterpart fit over a tau grid.  Band surface
 areas and breakpoint interval widths make the methods directly comparable.
 """
 
-from .area import AreaConfig, ComparisonReport, MethodIntervals, band_area, band_area_exact, compare_methods, compute_area
+from .area import ComparisonReport, MethodIntervals, band_area, band_area_exact, compare_methods, compute_area
 from .bands import BandConfig, BootstrapError, PredictionBand, bootstrap_band, bootstrap_bands, ols_line_fitter
 from .dataset import (
     BivariateDataset,
@@ -53,7 +53,6 @@ from .synthetic import GaussianNoise, SyntheticSpec, WedgeNoise, generate, ols_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaConfig",
     "BandConfig",
     "BivariateDataset",
     "BootstrapError",

@@ -1,11 +1,12 @@
 """Surface area of prediction bands and method-comparison reports.
 
-The band envelopes are piecewise linear between their sampled x values.  The
-grid estimator partitions the x range into uniform cells and sums
-``height(midpoint) * width`` per cell, clamping negative heights (crossed
-envelopes) at zero.  The knot-aware trapezoid integral
-(:func:`band_area_exact`) integrates the clamped piecewise-linear height
-exactly and serves as the internal oracle for the grid estimator.
+The band envelopes are piecewise linear between their sampled x values, so
+the area between them has a closed form: per interval, the trapezoid of the
+height ``upper - lower`` where it stays nonnegative, nothing where it stays
+nonpositive, and the positive triangle where the envelopes cross.
+:func:`band_area` computes it for all intervals at once;
+:func:`band_area_exact` is the same integral as a plain loop, kept as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -21,37 +22,30 @@ from .bands import PredictionBand
 
 
 class AreaError(ValueError):
-    """Invalid area configuration or incomparable inputs."""
+    """A band too short to have an area, or incomparable inputs."""
 
 
-@dataclass(frozen=True)
-class AreaConfig:
-    """Uniform cell count across the band's x range."""
+def band_area(band: PredictionBand) -> float:
+    """Exact area between the band envelopes.
 
-    grid_cells: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.grid_cells < 1:
-            raise AreaError(f"grid_cells must be at least 1, got {self.grid_cells}")
-
-
-def band_area(band: PredictionBand, config: AreaConfig = AreaConfig()) -> float:
-    """Grid-cell estimate of the area between the band envelopes.
-
-    Heights are evaluated at cell midpoints by linear interpolation of the
-    envelopes and clamped at zero where the envelopes cross.  A band with a
-    degenerate x range has zero area (with a warning).
+    The height ``upper - lower`` is linear between grid points and clamped
+    at zero where the envelopes cross.  A band with a degenerate x range has
+    zero area (with a warning).
     """
     if band.grid_x.size < 2:
         raise AreaError("band needs at least 2 grid points")
-    lo, hi = float(band.grid_x[0]), float(band.grid_x[-1])
-    if hi <= lo:
+    x = band.grid_x
+    if x[-1] <= x[0]:
         warnings.warn("band x-range is degenerate; area is 0", stacklevel=2)
         return 0.0
-    width = (hi - lo) / config.grid_cells
-    mids = lo + (np.arange(config.grid_cells) + 0.5) * width
-    height = np.interp(mids, band.grid_x, band.upper) - np.interp(mids, band.grid_x, band.lower)
-    return float(np.sum(np.maximum(height, 0.0)) * width)
+    d = band.upper - band.lower
+    d0, d1 = d[:-1], d[1:]
+    p0, p1 = np.maximum(d0, 0.0), np.maximum(d1, 0.0)
+    crossed = (np.minimum(d0, d1) < 0.0) & (np.maximum(d0, d1) > 0.0)
+    # twice the mean clamped height of each interval: p0 + p1, unless the
+    # envelopes cross inside it and only the positive triangle counts
+    heights = np.divide(p0 * p0 + p1 * p1, np.abs(d0 - d1), out=p0 + p1, where=crossed)
+    return float(heights @ np.diff(x)) / 2.0
 
 
 def band_area_exact(band: PredictionBand) -> float:
@@ -83,9 +77,9 @@ def band_area_exact(band: PredictionBand) -> float:
     return float(total)
 
 
-def compute_area(band: PredictionBand, config: AreaConfig = AreaConfig()) -> float:
-    """Compute the grid-cell area, store it on the band, and return it."""
-    value = band_area(band, config)
+def compute_area(band: PredictionBand) -> float:
+    """Compute the band's area, store it on the band, and return it."""
+    value = band_area(band)
     band.area = value
     return value
 
@@ -149,7 +143,6 @@ def _flag_minima(values: Mapping[str, float]) -> list[str]:
 def compare_methods(
     bands: Mapping[str, PredictionBand],
     intervals: Sequence[MethodIntervals],
-    area_config: AreaConfig = AreaConfig(),
 ) -> ComparisonReport:
     """Build the comparison tables: interval widths and band surface areas.
 
@@ -170,7 +163,7 @@ def compare_methods(
             raise AreaError(f"interval sets disagree on coverage: {sorted(labels)}")
         coverage = next(iter(labels))
 
-    areas = {m: compute_area(b, area_config) for m, b in bands.items()}
+    areas = {m: compute_area(b) for m, b in bands.items()}
     reference = "PLRM" if "PLRM" in bands or any(iv.method == "PLRM" for iv in intervals) else next(iter(bands))
 
     interval_rows = []

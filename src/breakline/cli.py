@@ -13,7 +13,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .area import AreaConfig, AreaError, MethodIntervals, compare_methods, compute_area
+from .area import AreaError, MethodIntervals, compare_methods, compute_area
 from .bands import BandConfig, BootstrapError, bootstrap_bands
 from .dataset import (
     BivariateDataset,
@@ -146,11 +146,10 @@ def _emit_band(out: _Outputs, band, formats, prefix: str = "") -> None:
         write_band_csv(out.path(f"{prefix}band_gamma{int(round(band.gamma * 100)):03d}.csv"), band)
 
 
-def _area_and_emit(out: _Outputs, bands, args, formats) -> dict[str, float]:
+def _area_and_emit(out: _Outputs, bands, formats) -> dict[str, float]:
     """Compute each band's area and write its CSV; returns the areas keyed by gamma."""
-    area_config = AreaConfig(grid_cells=args.grid_cells)
     for band in bands:
-        compute_area(band, area_config)
+        compute_area(band)
         _emit_band(out, band, formats)
     return {f"{b.gamma:g}": b.area for b in bands}
 
@@ -213,7 +212,7 @@ def cmd_loess_band(args, out: _Outputs) -> int:
     formats = _formats(args)
     gammas = _gammas(args)
     bands = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, max(gammas)), gammas, method="BL")
-    areas = _area_and_emit(out, bands, args, formats)
+    areas = _area_and_emit(out, bands, formats)
     if "json" in formats:
         write_json(
             out.path("summary.json"),
@@ -248,7 +247,7 @@ def cmd_plrm(args, out: _Outputs) -> int:
     gammas = _gammas(args)
     force_bootstrap = args.band_method == "bootstrap"
     bands = plrm_prediction_band(fit, ds, gammas, args.bootstrap, args.seed, force_bootstrap)
-    areas = _area_and_emit(out, bands, args, formats)
+    areas = _area_and_emit(out, bands, formats)
     ci95 = breakpoint_intervals(fit, 0.95)
     title = "piecewise linear fit with prediction bands"
     _emit_figure(out, "figure_plrm", ds, bands, formats, ticks=list(ci95.values()), title=title)
@@ -320,7 +319,7 @@ def cmd_pqrm(args, out: _Outputs) -> int:
             },
         )
     bands = [] if band is None else [band]
-    _area_and_emit(out, bands, args, formats)
+    _area_and_emit(out, bands, formats)
     curves = [
         (f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs))
         for fit in fits
@@ -361,7 +360,7 @@ def cmd_compare(args, out: _Outputs) -> int:
         MethodIntervals("PQRM", table.coverage_label, table.alpha1_interval, table.alpha2_interval),
     ]
     bands = {"BL": bl_band, "PLRM": pl_band, "PQRM": pq_band}
-    report = compare_methods(bands, intervals, AreaConfig(grid_cells=args.grid_cells))
+    report = compare_methods(bands, intervals)
 
     if "json" in formats:
         write_json(
@@ -393,7 +392,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", default=None, help="comma list from json,csv,svg (default all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-cells", type=int, default=10_000, help="cells for band-area grids")
 
 
 def _add_loess_args(p: argparse.ArgumentParser) -> None:

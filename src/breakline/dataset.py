@@ -315,18 +315,18 @@ class SummaryRow:
     ci_upper: float
 
 
-def _mean_ci(values: np.ndarray, level: float) -> tuple[float, float, float]:
+def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
     n = values.size
     if n < 2:
         raise DataError(f"need at least 2 observations for a confidence interval, got {n}")
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
-    half = stats.t.ppf(0.5 + level / 2.0, n - 1) * sd / math.sqrt(n)
+    half = stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n)
     return mean, mean - half, mean + half
 
 
-def summarize(ds: BivariateDataset, level: float = 0.95) -> list[SummaryRow]:
-    """Per-variable mean and t-based CI of the mean, per group and combined.
+def summarize(ds: BivariateDataset) -> list[SummaryRow]:
+    """Per-variable mean and t-based 95% CI of the mean, per group and combined.
 
     Groups appear in order of first occurrence in the stored points, followed
     by a ``"combined"`` row pair.  Raises :class:`DataError` if any group has
@@ -343,9 +343,9 @@ def summarize(ds: BivariateDataset, level: float = 0.95) -> list[SummaryRow]:
         if mask.sum() < 2:
             raise DataError(f"group {group!r} has fewer than 2 points; variance undefined")
         for variable, values in ((ds.x_name, ds.xs[mask]), (ds.y_name, ds.ys[mask])):
-            mean, lo, hi = _mean_ci(values, level)
+            mean, lo, hi = _mean_ci(values)
             rows.append(SummaryRow(group, variable, int(mask.sum()), mean, lo, hi))
     for variable, values in ((ds.x_name, ds.xs), (ds.y_name, ds.ys)):
-        mean, lo, hi = _mean_ci(values, level)
+        mean, lo, hi = _mean_ci(values)
         rows.append(SummaryRow("combined", variable, ds.n, mean, lo, hi))
     return rows

@@ -83,14 +83,7 @@ def segmented_design(xs: np.ndarray, a1: float, a2: float) -> np.ndarray:
 def _theta_jacobian(xs, theta):
     _, _, b2, b3, a1, a2 = theta
     return np.column_stack(
-        [
-            np.ones_like(xs),
-            xs,
-            np.maximum(xs - a1, 0.0),
-            np.maximum(xs - a2, 0.0),
-            -b2 * (xs > a1).astype(float),
-            -b3 * (xs > a2).astype(float),
-        ]
+        [segmented_design(xs, a1, a2), -b2 * (xs > a1).astype(float), -b3 * (xs > a2).astype(float)]
     )
 
 
@@ -212,6 +205,13 @@ def _t_row(name, est, se, df, level=0.95) -> InferenceRow:
     return InferenceRow(name, est, se, t, p, est - tq * se, est + tq * se)
 
 
+def _contrast_row(name, c, beta, cov, df) -> InferenceRow:
+    """Delta-method row of the contrast ``c`` over the betas."""
+    full = np.concatenate([c, [0.0, 0.0]])
+    se = math.sqrt(max(float(full @ cov @ full), 0.0))
+    return _t_row(name, float(c @ beta), se, df)
+
+
 def _design_profile(xs: np.ndarray, min_segment_points: int) -> _BreakpointProfile:
     """The checks on a sorted x design and the x-only part of every fit on it."""
     n = xs.size
@@ -300,10 +300,7 @@ def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> Segmente
         "slope3": np.array([0.0, 1.0, 1.0, 1.0]),
     }
     for name, c in contrasts.items():
-        full = np.concatenate([c, [0.0, 0.0]])
-        est = float(c @ theta_best[:4])
-        se = math.sqrt(max(float(full @ cov @ full), 0.0))
-        inference[name] = _t_row(name, est, se, df)
+        inference[name] = _contrast_row(name, c, theta_best[:4], cov, df)
 
     return SegmentedFit(
         model=model,
@@ -327,10 +324,7 @@ def contrast_inference(fit: SegmentedFit, contrast, name: str = "contrast") -> I
     c = np.asarray(contrast, dtype=float)
     if c.shape != (4,):
         raise SegmentedError("contrast must have 4 coefficients (over beta)")
-    full = np.concatenate([c, [0.0, 0.0]])
-    est = float(c @ np.asarray(fit.model.beta))
-    se = math.sqrt(max(float(full @ fit.cov @ full), 0.0))
-    return _t_row(name, est, se, fit.df)
+    return _contrast_row(name, c, np.asarray(fit.model.beta), fit.cov, fit.df)
 
 
 class _Lines:
@@ -704,9 +698,10 @@ def breakpoint_intervals(fit: SegmentedFit, level: float) -> dict[str, tuple[flo
     return {name: found.get(name, fit.x_range) for name in names}
 
 
-def fit_report_rows(fit: SegmentedFit, significance_level: float = 0.05) -> list[dict]:
+def fit_report_rows(fit: SegmentedFit) -> list[dict]:
     """Report rows ``{parameter, estimate, se, t, p, ci_lower, ci_upper,
-    significant}``; non-finite fields become None for JSON friendliness."""
+    significant}``, significant meaning p < 0.05; non-finite fields become
+    None for JSON friendliness."""
 
     def clean(v):
         return float(v) if math.isfinite(v) else None
@@ -723,7 +718,7 @@ def fit_report_rows(fit: SegmentedFit, significance_level: float = 0.05) -> list
                 "p": clean(row.p),
                 "ci_lower": clean(row.ci_lower),
                 "ci_upper": clean(row.ci_upper),
-                "significant": (math.isfinite(row.p) and row.p < significance_level),
+                "significant": (math.isfinite(row.p) and row.p < 0.05),
             }
         )
     return rows

@@ -10,8 +10,11 @@ vertex structure of least-absolute-deviation fitting: an optimal basic
 solution interpolates exactly ``p`` observations).  Breakpoints are profiled
 over a candidate grid (midpoints between consecutive distinct x values, under
 the least-squares fitter's input checks and segment rule), then over one finer
-local grid around the incumbent, so the returned fit is the global optimum on
-the candidate grid.
+local grid around the incumbent.  The fit is the optimum over those
+candidates only where the simplex is: at a degenerate vertex (a residual
+pinned at zero off the basis, as tied responses produce) it can stop short of
+a pair's optimum, and the fit can then miss the grid optimum.  It is not
+optimal over the continuum of breakpoint pairs (ROADMAP.md, item 5).
 
 A tau grid is fitted in one lockstep sweep: the candidate pairs are walked
 once, and at each pair the hinge columns are written once and a block

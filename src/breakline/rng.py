@@ -1,9 +1,9 @@
 """Deterministic random-number infrastructure shared by all resampling code.
 
 Every stochastic routine in the package draws from a :class:`RngSpec`.  A spec
-is a 64-bit seed plus the (fixed) generator name; stream ``b`` is derived from
-the pair ``(seed, b)``, so replicate-level results do not depend on the order
-in which replicates are evaluated.
+is a 64-bit seed; stream ``b`` is the PCG64 generator keyed by
+``SeedSequence(entropy=seed, spawn_key=(b,))``, so replicate-level results do
+not depend on the order in which replicates are evaluated.
 """
 
 from __future__ import annotations
@@ -13,29 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-#: The single generator used everywhere.  PCG64 streams are keyed by
-#: ``SeedSequence(entropy=seed, spawn_key=(replicate,))``.
-ALGORITHM = "pcg64"
-
 _MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus generator identifier.
+    """Seed of every PCG64 stream of one run.
 
     Identical seed and identical inputs give bit-identical output for every
     consumer in this package.
     """
 
     seed: int = 0
-    algorithm: str = ALGORITHM
 
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unsupported generator {self.algorithm!r}; only {ALGORITHM!r} is implemented")
 
     def stream(self, replicate: int = 0) -> np.random.Generator:
         """Return the generator for one replicate, keyed by (seed, replicate)."""

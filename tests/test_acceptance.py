@@ -190,17 +190,17 @@ def test_c06_bootstrap_determinism(tmp_path):
 
 
 def test_c07_band_area_correctness():
-    """Criterion 7: rectangle exact, triangle 1e-6, grid vs exact 1e-4 rel."""
+    """Criterion 7: rectangle exact, triangle 1e-6, area vs oracle 1e-4 rel."""
     rect = bl.PredictionBand(
         grid_x=np.array([0.0, 2.0]), center=np.array([0.5, 0.5]),
         lower=np.zeros(2), upper=np.ones(2), gamma=0.8,
     )
-    rect_area = bl.band_area(rect, bl.AreaConfig(grid_cells=10_000))
+    rect_area = bl.band_area(rect)
     tri = bl.PredictionBand(
         grid_x=np.array([0.0, 1.0]), center=np.array([0.0, 0.5]),
         lower=np.zeros(2), upper=np.array([0.0, 1.0]), gamma=0.8,
     )
-    tri_area = bl.band_area(tri, bl.AreaConfig(grid_cells=10_000))
+    tri_area = bl.band_area(tri)
 
     # representative bands from all three methods on one dataset
     spec = bl.SyntheticSpec(model=TRUTH, n=40, noise=bl.WedgeNoise(0.4, 1.5), rng=bl.RngSpec(7))
@@ -215,7 +215,7 @@ def test_c07_band_area_correctness():
     worst_rel = 0.0
     for band in bands:
         exact = bl.band_area_exact(band)
-        approx = bl.band_area(band, bl.AreaConfig(grid_cells=10_000))
+        approx = bl.band_area(band)
         worst_rel = max(worst_rel, abs(approx - exact) / max(exact, 1e-300))
 
     ok = (
@@ -227,7 +227,7 @@ def test_c07_band_area_correctness():
         7,
         ok,
         f"rectangle |err|={abs(rect_area - 2.0):.1e} (<=1e-12), triangle |err|={abs(tri_area - 0.5):.1e} "
-        f"(<=1e-6), grid-vs-exact worst rel={worst_rel:.1e} (<=1e-4)",
+        f"(<=1e-6), area vs oracle worst rel={worst_rel:.1e} (<=1e-4)",
     )
     assert ok
 

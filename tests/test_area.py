@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from breakline.area import (
-    AreaConfig,
     AreaError,
     MethodIntervals,
     band_area,
@@ -31,18 +30,14 @@ def _rect_band(area_value, gamma=0.8, method=""):
 
 def test_rectangle_exact():
     band = _band([0.0, 2.0], [0.0, 0.0], [1.0, 1.0])
-    assert band_area(band, AreaConfig(grid_cells=7)) == pytest.approx(2.0, abs=1e-12)
-    assert band_area(band, AreaConfig(grid_cells=10_000)) == pytest.approx(2.0, abs=1e-12)
+    assert band_area(band) == pytest.approx(2.0, abs=1e-12)
     assert band_area_exact(band) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_triangle_converges():
+def test_triangle_exact():
     band = _band([0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
-    assert band_area(band, AreaConfig(grid_cells=10_000)) == pytest.approx(0.5, abs=1e-6)
+    assert band_area(band) == pytest.approx(0.5, abs=1e-15)
     assert band_area_exact(band) == pytest.approx(0.5, abs=1e-15)
-    # midpoint-rule error shrinks with refinement
-    errs = [abs(band_area(band, AreaConfig(k)) - 0.5) for k in (10, 100, 1000)]
-    assert errs[0] >= errs[1] >= errs[2]
 
 
 def test_crossed_interval_contributes_zero():
@@ -50,18 +45,17 @@ def test_crossed_interval_contributes_zero():
     band = _band([0.0, 1.0], [0.0, 1.0], [0.5, 0.5])
     expected = 0.5 * 0.5 * 0.5  # triangle on [0, 0.5] with height 0.5
     assert band_area_exact(band) == pytest.approx(expected, abs=1e-15)
-    assert band_area(band, AreaConfig(grid_cells=20_000)) == pytest.approx(expected, abs=1e-6)
+    assert band_area(band) == pytest.approx(expected, abs=1e-15)
     fully_crossed = _band([0.0, 1.0], [1.0, 1.0], [0.0, 0.0])
     assert band_area_exact(fully_crossed) == 0.0
-    assert band_area(fully_crossed, AreaConfig(grid_cells=100)) == 0.0
+    assert band_area(fully_crossed) == 0.0
 
 
 def test_knot_aligned_grid_is_exact():
     xs = [0.0, 0.25, 0.5, 1.0]
     band = _band(xs, [0.0, 0.1, 0.0, 0.2], [1.0, 0.6, 0.9, 0.4])
     exact = band_area_exact(band)
-    assert band_area(band, AreaConfig(grid_cells=4)) == pytest.approx(exact, abs=1e-12)
-    assert band_area(band, AreaConfig(grid_cells=8)) == pytest.approx(exact, abs=1e-12)
+    assert band_area(band) == pytest.approx(exact, abs=1e-12)
 
 
 def test_additivity_on_aligned_split():
@@ -75,23 +69,22 @@ def test_additivity_on_aligned_split():
     assert band_area_exact(whole) == pytest.approx(
         band_area_exact(left) + band_area_exact(right), abs=1e-12
     )
-    assert band_area(whole, AreaConfig(8)) == pytest.approx(
-        band_area(left, AreaConfig(4)) + band_area(right, AreaConfig(4)), abs=1e-12
-    )
+    assert band_area(whole) == pytest.approx(band_area(left) + band_area(right), abs=1e-12)
 
 
-def test_grid_close_to_exact_on_random_bands():
+def test_matches_exact_on_random_bands():
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for k in range(20):
         n = int(rng.integers(5, 60))
         xs = np.sort(rng.uniform(0, 1, n))
+        if k % 2:  # repeated x values, where the band jumps
+            xs[1::2] = xs[::2][: n // 2]
         xs[0], xs[-1] = 0.0, 1.0
         lower = rng.normal(size=n)
         upper = lower + rng.uniform(-0.2, 2.0, size=n)
         band = _band(xs, lower, upper)
         exact = band_area_exact(band)
-        approx = band_area(band, AreaConfig(grid_cells=10_000))
-        assert approx == pytest.approx(exact, rel=1e-4, abs=1e-7)
+        assert band_area(band) == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
 def test_nonnegative_always():
@@ -102,20 +95,20 @@ def test_nonnegative_always():
         upper = rng.normal(size=10)  # may cross anywhere
         band = _band(xs, lower, upper)
         assert band_area_exact(band) >= 0.0
-        assert band_area(band, AreaConfig(500)) >= 0.0
+        assert band_area(band) >= 0.0
 
 
 def test_degenerate_range_warns_zero():
     band = _band([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.warns(UserWarning, match="degenerate"):
         assert band_area(band) == 0.0
-    with pytest.raises(AreaError):
-        band_area(_band([0.0, 1.0], [0.0] * 2, [1.0] * 2), AreaConfig(grid_cells=0))
+    with pytest.raises(AreaError, match="2 grid points"):
+        band_area(_band([0.0], [0.0], [1.0]))
 
 
 def test_compute_area_stores_value():
     band = _band([0.0, 2.0], [0.0, 0.0], [1.0, 1.0])
-    value = compute_area(band, AreaConfig(100))
+    value = compute_area(band)
     assert band.area == value == pytest.approx(2.0)
 
 

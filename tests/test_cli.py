@@ -314,7 +314,6 @@ _COMMON_FLAGS = {
     "--out": (None, None, "output directory", {"required": True}),
     "--format": (None, None, "comma list from json,csv,svg (default all)", {}),
     "--seed": (0, int, None, {}),
-    "--grid-cells": (10000, int, "cells for band-area grids", {}),
 }
 _LOESS_FLAGS = {
     "--span": (0.75, float, None, {}),
@@ -376,3 +375,50 @@ def test_parser_flags_are_unchanged():
             actual[action.option_strings[0]] = (action.default, action.type, action.help, extra)
             assert action.option_strings == [action.option_strings[0]], (command, action.option_strings)
         assert actual == expected, command
+
+
+def _written_band(path: Path):
+    """The JSON header and the band rows of a band CSV."""
+    from breakline.bands import PredictionBand
+
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0].removeprefix("# "))
+    columns = {k: [float(r[k]) for r in csv.DictReader(lines[1:])] for k in ("x", "center", "lower", "upper")}
+    band = PredictionBand(
+        grid_x=columns["x"], center=columns["center"], lower=columns["lower"], upper=columns["upper"],
+        gamma=header["gamma"],
+    )
+    return header, band
+
+
+def test_written_areas_are_exact(tmp_path):
+    """Every band CSV header carries the exact area of the band in its rows,
+    and the summaries and comparison tables carry the headers' areas."""
+    from breakline.area import band_area_exact
+
+    csv_path = _synth(tmp_path, noise="wedge:0.3,1.5", seed=2, n=40)
+    data = ["--input", str(csv_path), "--x", "x", "--y", "y", "--format", "json,csv"]
+    runs = {
+        "loess-band": ["--bootstrap", "40"],
+        "plrm": ["--band-method", "bootstrap", "--bootstrap", "40"],
+        "pqrm": [],
+        "compare": ["--bootstrap", "20"],
+    }
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert main([command, *data, *extra, "--out", str(out)]) == 0
+        by_gamma, by_method = {}, {}
+        for path in sorted(out.glob("*band_gamma*.csv")):
+            header, band = _written_band(path)
+            assert header["area"] == pytest.approx(band_area_exact(band), rel=1e-12, abs=0.0), path.name
+            by_gamma[f"{header['gamma']:g}"] = by_method[header["method"]] = header["area"]
+        if command == "pqrm":
+            assert json.loads((out / "summary.json").read_text())["band_area"] == by_gamma["0.8"]
+        elif command == "compare":
+            assert set(by_method) == {"BL", "PLRM", "PQRM"}
+            assert json.loads((out / "comparison.json").read_text())["areas"] == by_method
+            rows = list(csv.DictReader((out / "comparison.csv").read_text().splitlines()))
+            assert {r["method"]: float(r["width_or_area"]) for r in rows if r["table"] == "areas"} == by_method
+        else:
+            assert set(by_gamma) == {"0.8", "0.95"}
+            assert json.loads((out / "summary.json").read_text())["areas"] == by_gamma

@@ -28,8 +28,6 @@ def test_seed_validation():
         RngSpec(-1)
     with pytest.raises(ValueError):
         RngSpec(2**64)
-    with pytest.raises(ValueError):
-        RngSpec(0, algorithm="mt19937")
 
 
 def test_standard_normal_moments():
