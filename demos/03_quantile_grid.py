@@ -29,8 +29,8 @@ print(f"\n{table.coverage_label} interval for alpha1: "
 print(f"{table.coverage_label} interval for alpha2: "
       f"({table.alpha2_interval[0]:.3f}, {table.alpha2_interval[1]:.3f}), width {table.alpha2_width:.3f}")
 
-by_tau = {round(f.tau, 2): f for f in fits}
-band = bl.pqrm_prediction_band(by_tau[0.1], by_tau[0.5], by_tau[0.9], ds)
+# the 80% band: the tau 0.1 and 0.9 curves of the grid, around its median
+band = bl.pqrm_prediction_band(fits, 0.80, ds)
 area = bl.compute_area(band)
 print(f"\n80% band (tau 0.1 to 0.9): area {area:.3f} square units")
 if band.crossings:

@@ -15,18 +15,14 @@ spec = bl.SyntheticSpec(model=truth, n=100, noise=bl.WedgeNoise(0.4, 1.5), rng=b
 ds = bl.generate(spec)
 gamma = 0.80
 
-(bl_band,) = bl.bootstrap_bands(
-    ds, bl.loess_fitter(bl.LoessConfig()), bl.BandConfig(B=1000, gamma=gamma, rng=bl.RngSpec(0)),
-    [gamma], method="BL",
-)
+bl_band = bl.bootstrap_band(ds, bl.loess_fitter(), gamma, 1000, bl.RngSpec(0), method="BL")
 
 ls_fit = bl.fit_segmented(ds)
 (pl_band,) = bl.plrm_prediction_band(ls_fit, ds, [gamma])
 
 fits, _ = bl.fit_tau_grid(ds)
 table = bl.quantile_breakpoint_intervals(fits)
-by_tau = {round(f.tau, 2): f for f in fits}
-pq_band = bl.pqrm_prediction_band(by_tau[0.1], by_tau[0.5], by_tau[0.9], ds)
+pq_band = bl.pqrm_prediction_band(fits, gamma, ds)
 
 pl_iv = bl.breakpoint_intervals(ls_fit, 0.80)
 intervals = [

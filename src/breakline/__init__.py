@@ -8,7 +8,7 @@ areas and breakpoint interval widths make the methods directly comparable.
 """
 
 from .area import ComparisonReport, MethodIntervals, band_area, band_area_exact, compare_methods, compute_area
-from .bands import BandConfig, BootstrapError, PredictionBand, bootstrap_band, bootstrap_bands, ols_line_fitter
+from .bands import BootstrapError, PredictionBand, bootstrap_band, bootstrap_bands, ols_line_fitter
 from .dataset import (
     BivariateDataset,
     DataError,
@@ -44,6 +44,7 @@ from .quantile import (
     fit_quantile_linear,
     fit_segmented_quantile,
     fit_tau_grid,
+    pqrm_band_taus,
     pqrm_prediction_band,
     quantile_breakpoint_intervals,
 )
@@ -53,7 +54,6 @@ from .synthetic import GaussianNoise, SyntheticSpec, WedgeNoise, generate, ols_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandConfig",
     "BivariateDataset",
     "BootstrapError",
     "ComparisonReport",
@@ -101,6 +101,7 @@ __all__ = [
     "ols_line_fitter",
     "ols_oracle",
     "plrm_prediction_band",
+    "pqrm_band_taus",
     "pqrm_prediction_band",
     "predict_loess",
     "profile_inner_ols",

@@ -5,7 +5,8 @@ each replicate (1) build a synthetic response from the fitted curve plus
 resampled residuals, (2) refit the model on it, (3) center the replicate's
 residuals and resample them a second time, and (4) record the predicted
 residual ``fitted - refit + resampled``.  Pointwise empirical quantiles of the
-predicted residuals, added back to the fitted curve, give the band.
+predicted residuals (pooled over the rows at one x value), added back to the
+fitted curve, give the band.
 
 A "fitter" maps ``(xs, Y) -> fitted``, where ``Y`` holds one response per
 row, shape ``(b, n)``, and ``fitted`` has the same shape: row ``i`` is the
@@ -30,26 +31,7 @@ _BLOCK = 64
 
 
 class BootstrapError(RuntimeError):
-    """A replicate's model refit kept failing, or the configuration is invalid."""
-
-
-@dataclass(frozen=True)
-class BandConfig:
-    """Replicate count, confidence coefficient, and seed for one band run."""
-
-    B: int = 10_000
-    gamma: float = 0.80
-    rng: RngSpec = field(default_factory=RngSpec)
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise BootstrapError(f"gamma must be in (0, 1), got {self.gamma}")
-        # B (1 - gamma) >= 2, with a tolerance for gamma's binary rounding
-        if self.B * (1.0 - self.gamma) < 2.0 - 1e-9:
-            raise BootstrapError(
-                f"B={self.B} is too small for gamma={self.gamma}; "
-                f"need B >= 2/(1-gamma) = {2.0 / (1.0 - self.gamma):.1f}"
-            )
+    """A replicate's model refit kept failing, or B or a gamma is invalid."""
 
 
 @dataclass(eq=False)
@@ -87,7 +69,7 @@ def _fit_block(fitter, xs, Y) -> np.ndarray:
     return fitted
 
 
-def predicted_residual_pool(ds: BivariateDataset, fitter, config: BandConfig):
+def predicted_residual_pool(ds: BivariateDataset, fitter, B: int, rng: RngSpec):
     """Run the resampling loop once; returns (center, pool of shape (B, n)).
 
     The center fit is a block of one and the replicates go to the fitter in
@@ -105,10 +87,10 @@ def predicted_residual_pool(ds: BivariateDataset, fitter, config: BandConfig):
     center = _fit_block(fitter, xs, ys[None, :])[0]
     resid = ys - center
     centered = resid - resid.mean()
-    pool = np.empty((config.B, n))
-    for start in range(0, config.B, _BLOCK):
-        reps = range(start, min(start + _BLOCK, config.B))
-        gens = [config.rng.stream(b) for b in reps]
+    pool = np.empty((B, n))
+    for start in range(0, B, _BLOCK):
+        reps = range(start, min(start + _BLOCK, B))
+        gens = [rng.stream(b) for b in reps]
         Y = np.array([center + centered[gen.integers(0, n, size=n)] for gen in gens])
         try:
             refits = _fit_block(fitter, xs, Y)
@@ -138,15 +120,29 @@ def _refit_one(fitter, xs, y_star, center, centered, gen, b):
     raise BootstrapError(f"model fitter failed for replicate {b} after {_MAX_RETRIES} retries")
 
 
+def _pooled_quantile(xs: np.ndarray, pool: np.ndarray, q: float) -> np.ndarray:
+    """Quantile ``q`` of each pool column; the rows that share an x value
+    (adjacent, as ``xs`` is sorted) get one quantile of all their columns."""
+    out = np.quantile(pool, q, axis=0)
+    _, first, counts = np.unique(xs, return_index=True, return_counts=True)
+    tied = counts > 1
+    for start, m in zip(first[tied].tolist(), counts[tied].tolist()):
+        out[start : start + m] = np.quantile(pool[:, start : start + m], q)
+    return out
+
+
 def band_from_pool(ds: BivariateDataset, center, pool, gamma, method="", meta=None) -> PredictionBand:
     """Pointwise empirical quantiles of the pool around the center curve.
 
-    Quantiles interpolate linearly between closest order statistics (rank
-    ``q * (B - 1) + 1``), so the same pool gives nested bands for nested
-    confidence coefficients.
+    Rows that share an x value draw from one predictive distribution, so
+    their pool columns are taken together and the band has one envelope per
+    x, whatever the order of the tied rows.  Quantiles interpolate linearly
+    between closest order statistics (rank ``q * (m - 1) + 1`` of the ``m``
+    draws), so the same pool gives nested bands for nested confidence
+    coefficients.
     """
-    q_lo = np.quantile(pool, (1.0 - gamma) / 2.0, axis=0)
-    q_hi = np.quantile(pool, (1.0 + gamma) / 2.0, axis=0)
+    q_lo = _pooled_quantile(ds.xs, pool, (1.0 - gamma) / 2.0)
+    q_hi = _pooled_quantile(ds.xs, pool, (1.0 + gamma) / 2.0)
     info = {"B": int(pool.shape[0])}
     if meta:
         info.update(meta)
@@ -161,18 +157,27 @@ def band_from_pool(ds: BivariateDataset, center, pool, gamma, method="", meta=No
     )
 
 
-def bootstrap_bands(ds: BivariateDataset, fitter, config: BandConfig, gammas, method="") -> list[PredictionBand]:
-    """Bands at several confidence coefficients from one replicate pool."""
-    for g in gammas:
-        BandConfig(B=config.B, gamma=g, rng=config.rng)  # validate each pairing
-    center, pool = predicted_residual_pool(ds, fitter, config)
-    meta = {"seed": config.rng.seed}
+def bootstrap_bands(ds: BivariateDataset, fitter, gammas, B: int, rng: RngSpec, method="") -> list[PredictionBand]:
+    """Bands at several confidence coefficients from one pool of ``B``
+    replicates drawn from ``rng``.  Every gamma must lie in (0, 1), and ``B``
+    must leave two replicates outside the widest band: ``B (1 - gamma) >= 2``."""
+    for gamma in gammas:
+        if not (0.0 < gamma < 1.0):
+            raise BootstrapError(f"gamma must be in (0, 1), got {gamma}")
+    widest = max(gammas)
+    # with a tolerance for gamma's binary rounding
+    if B * (1.0 - widest) < 2.0 - 1e-9:
+        raise BootstrapError(
+            f"B={B} is too small for gamma={widest}; need B >= 2/(1-gamma) = {2.0 / (1.0 - widest):.1f}"
+        )
+    center, pool = predicted_residual_pool(ds, fitter, B, rng)
+    meta = {"seed": rng.seed}
     return [band_from_pool(ds, center, pool, g, method=method, meta=meta) for g in gammas]
 
 
-def bootstrap_band(ds: BivariateDataset, fitter, config: BandConfig, method="") -> PredictionBand:
-    """Single band at ``config.gamma``; deterministic given (ds, fitter, config)."""
-    return bootstrap_bands(ds, fitter, config, [config.gamma], method=method)[0]
+def bootstrap_band(ds: BivariateDataset, fitter, gamma, B: int, rng: RngSpec, method="") -> PredictionBand:
+    """Single band at ``gamma``; deterministic given its arguments."""
+    return bootstrap_bands(ds, fitter, [gamma], B, rng, method=method)[0]
 
 
 def ols_line_fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:

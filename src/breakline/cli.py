@@ -14,7 +14,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from .area import AreaError, MethodIntervals, compare_methods, compute_area
-from .bands import BandConfig, BootstrapError, bootstrap_bands
+from .bands import BootstrapError, bootstrap_bands
 from .dataset import (
     BivariateDataset,
     DataError,
@@ -42,6 +42,7 @@ from .quantile import (  # noqa: F401
     check_tau_grid,
     fit_segmented_quantile,
     fit_tau_grid,
+    pqrm_band_taus,
     pqrm_prediction_band,
     quantile_breakpoint_intervals,
 )
@@ -137,10 +138,6 @@ def _loess_fitter(args):
     return loess_fitter(LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters))
 
 
-def _band_config(args, gamma: float) -> BandConfig:
-    return BandConfig(B=args.bootstrap, gamma=gamma, rng=RngSpec(args.seed))
-
-
 def _emit_band(out: _Outputs, band, formats, prefix: str = "") -> None:
     if "csv" in formats:
         write_band_csv(out.path(f"{prefix}band_gamma{int(round(band.gamma * 100)):03d}.csv"), band)
@@ -211,7 +208,7 @@ def cmd_loess_band(args, out: _Outputs) -> int:
     ds = _load(args)
     formats = _formats(args)
     gammas = _gammas(args)
-    bands = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, max(gammas)), gammas, method="BL")
+    bands = bootstrap_bands(ds, _loess_fitter(args), gammas, args.bootstrap, RngSpec(args.seed), method="BL")
     areas = _area_and_emit(out, bands, formats)
     if "json" in formats:
         write_json(
@@ -266,35 +263,22 @@ def cmd_plrm(args, out: _Outputs) -> int:
     return 0
 
 
-def _band_taus(gamma: float) -> tuple[float, float, float]:
-    """The (lower, median, upper) quantile levels of a PQRM band at gamma."""
-    return round((1.0 - gamma) / 2.0, 10), 0.5, round((1.0 + gamma) / 2.0, 10)
-
-
 def _pqrm_pieces(ds, taus, gamma, min_seg_points):
-    """Shared by pqrm and compare: grid fits, interval table, band, failures.
+    """Shared by pqrm and compare: grid fits, interval table, band (None if
+    a band tau failed) and whether any tau failed.
 
-    The band's taus missing from the grid are fitted in the grid's lockstep
-    sweep; the interval table uses the grid's taus only."""
+    The band's taus are fitted in the grid's lockstep sweep; the interval
+    table uses the grid's taus only."""
     check_tau_grid(taus)
-    band_taus = _band_taus(gamma)
+    band_taus = pqrm_band_taus(gamma)
     sweep, sweep_failures = fit_tau_grid(ds, sorted(set(taus) | set(band_taus)), min_segment_points=min_seg_points)
-    swept = {f.tau: f for f in sweep}
     failed = dict(sweep_failures)
-    fits = [swept[t] for t in taus if t in swept]
-    failures = [(float(t), failed[t]) for t in taus if t in failed]
+    fits = [f for f in sweep if f.tau in taus]
     if len(fits) < 2:
         raise QuantileError(f"too few successful tau fits ({len(fits)}) to build intervals")
-    table = quantile_breakpoint_intervals(fits, failed_taus=[t for t, _ in failures])
-    by_tau = {round(f.tau, 10): f for f in fits}
-    for t in sorted(set(band_taus) - set(by_tau)):
-        if t in swept:
-            by_tau[t] = swept[t]
-        else:
-            failures.append((t, failed[t]))
-    fitted = set(band_taus) <= set(by_tau)
-    band = pqrm_prediction_band(*(by_tau[t] for t in band_taus), ds) if fitted else None
-    return fits, table, band, failures
+    table = quantile_breakpoint_intervals(fits, failed_taus=[float(t) for t in taus if t in failed])
+    band = None if any(t in failed for t in band_taus) else pqrm_prediction_band(sweep, gamma, ds)
+    return fits, table, band, bool(failed)
 
 
 def cmd_pqrm(args, out: _Outputs) -> int:
@@ -302,7 +286,7 @@ def cmd_pqrm(args, out: _Outputs) -> int:
     formats = _formats(args)
     taus = _taus(args)
     (gamma,) = _gammas(args, (0.80,))
-    fits, table, band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
+    fits, table, band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     if "csv" in formats:
         write_tau_table_csv(out.path("tau_table.csv"), table)
     if "json" in formats:
@@ -323,7 +307,7 @@ def cmd_pqrm(args, out: _Outputs) -> int:
     curves = [
         (f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs))
         for fit in fits
-        if round(fit.tau, 10) in _band_taus(gamma)
+        if round(fit.tau, 10) in pqrm_band_taus(gamma)
     ]
     _emit_figure(out, "figure_pqrm", ds, bands, formats, curves=curves, title="piecewise quantile fits")
     if "json" in formats:
@@ -334,10 +318,10 @@ def cmd_pqrm(args, out: _Outputs) -> int:
                 "tau_grid": [float(t) for t in taus],
                 "coverage": table.coverage_label,
                 "band_area": None if band is None else band.area,
-                "partial": bool(failures),
+                "partial": partial,
             },
         )
-    return 4 if failures else 0
+    return 4 if partial else 0
 
 
 def cmd_compare(args, out: _Outputs) -> int:
@@ -346,9 +330,9 @@ def cmd_compare(args, out: _Outputs) -> int:
     (gamma,) = _gammas(args, (0.80,))
     taus = _taus(args)
     # the pool's center fit runs first, so loess errors surface before the slow part
-    (bl_band,) = bootstrap_bands(ds, _loess_fitter(args), _band_config(args, gamma), [gamma], method="BL")
+    (bl_band,) = bootstrap_bands(ds, _loess_fitter(args), [gamma], args.bootstrap, RngSpec(args.seed), method="BL")
     ls_fit = fit_segmented(ds, min_segment_points=args.min_seg_points)
-    _, table, pq_band, failures = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
+    _, table, pq_band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], args.bootstrap, args.seed)
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")
@@ -376,7 +360,7 @@ def cmd_compare(args, out: _Outputs) -> int:
     ticks = list(breakpoint_intervals(ls_fit, 0.95).values())
     _emit_figure(out, "figure_plrm", ds, [pl_band], formats, ticks=ticks, title="piecewise linear band")
     _emit_figure(out, "figure_pqrm", ds, [pq_band], formats, title="piecewise quantile band")
-    return 4 if failures else 0
+    return 4 if partial else 0
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -32,9 +32,15 @@ import numpy as np
 from scipy import stats
 
 # bootstrap_band is unused here; perfbench/tracing.py patches it by name
-from .bands import BandConfig, PredictionBand, bootstrap_band, bootstrap_bands  # noqa: F401
+from .bands import PredictionBand, bootstrap_band, bootstrap_bands  # noqa: F401
 from .dataset import BivariateDataset
 from .rng import RngSpec
+
+# confidence level of the Wald intervals in the inference rows
+_WALD_LEVEL = 0.95
+# locating a profile-F interval end: rounds, and interior points per round
+_SHRINK_ROUNDS = 12
+_SHRINK_POINTS = 8
 
 
 class SegmentedError(ValueError):
@@ -196,12 +202,12 @@ class SegmentedFit:
     x_range: tuple[float, float] = (0.0, 0.0)
 
 
-def _t_row(name, est, se, df, level=0.95) -> InferenceRow:
+def _t_row(name, est, se, df) -> InferenceRow:
     if not math.isfinite(se) or se <= 0.0:
         return InferenceRow(name, est, math.inf, math.nan, math.nan, -math.inf, math.inf)
     t = est / se
     p = 2.0 * float(stats.t.sf(abs(t), df))
-    tq = float(stats.t.ppf(0.5 + level / 2.0, df))
+    tq = float(stats.t.ppf(0.5 + _WALD_LEVEL / 2.0, df))
     return InferenceRow(name, est, se, t, p, est - tq * se, est + tq * se)
 
 
@@ -590,15 +596,16 @@ class _BreakpointProfile:
         return float(a1[best]), float(a2[best])
 
 
-def _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out, rounds=12, points=8):
+def _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out):
     """Shrink brackets with the profile of response ``y`` at or below ``cutoff`` at ``a_in`` and
     above it at ``a_out`` (both ends in one cell, where the profile is
-    continuous) around a crossing by repeated ``(points + 1)``-section; twelve
-    9-sections shrink a bracket to 4e-12 of its cell.  Returns the inside
+    continuous) around a crossing by repeated ``(_SHRINK_POINTS + 1)``-section;
+    twelve 9-sections shrink a bracket to 4e-12 of its cell.  Returns the inside
     ends."""
+    points = _SHRINK_POINTS
     frac = np.arange(1, points + 1) / (points + 1)
     rows = np.arange(a_in.size)
-    for _ in range(rounds):
+    for _ in range(_SHRINK_ROUNDS):
         trial = a_in[:, None] + (a_out - a_in)[:, None] * frac
         rss, _ = profile.rss(y, np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
         below = rss.reshape(trial.shape) <= cutoff
@@ -766,13 +773,8 @@ def plrm_prediction_band(
         if not (0.0 < gamma < 1.0):
             raise SegmentedError(f"gamma must be in (0, 1), got {gamma}")
     if force_bootstrap or not fit.cov_pd:
-        bands = bootstrap_bands(
-            ds,
-            segmented_fitter(min_segment_points=fit.min_segment_points),
-            BandConfig(B=B, gamma=max(gammas), rng=RngSpec(seed)),
-            gammas,
-            method="PLRM",
-        )
+        fitter = segmented_fitter(min_segment_points=fit.min_segment_points)
+        bands = bootstrap_bands(ds, fitter, gammas, B, RngSpec(seed), method="PLRM")
         for band in bands:
             band.meta["bootstrap_fallback"] = True
         return bands

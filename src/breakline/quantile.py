@@ -540,29 +540,31 @@ def quantile_breakpoint_intervals(
     )
 
 
-def pqrm_prediction_band(
-    fit_lo: QuantileSegmentedFit,
-    fit_center: QuantileSegmentedFit,
-    fit_hi: QuantileSegmentedFit,
-    ds: BivariateDataset,
-) -> PredictionBand:
-    """Band between the lower and upper conditional-quantile curves.
+def pqrm_band_taus(gamma: float) -> tuple[float, float, float]:
+    """The (lower, median, upper) quantile levels of the PQRM band at
+    confidence coefficient ``gamma``: ``(1 - gamma) / 2``, 0.5 and
+    ``(1 + gamma) / 2``, rounded to 10 decimals."""
+    if not (0.0 < gamma < 1.0):
+        raise QuantileError(f"gamma must be in (0, 1), got {gamma}")
+    return round((1.0 - gamma) / 2.0, 10), 0.5, round((1.0 + gamma) / 2.0, 10)
 
-    For confidence coefficient gamma the bounding fits sit at
-    ``tau = (1 -/+ gamma) / 2`` and the center curve is the median fit.
-    Quantile curves may cross; crossing grid indices are flagged and the
-    area computation clamps the height at zero there.
+
+def pqrm_prediction_band(fits: Sequence[QuantileSegmentedFit], gamma: float, ds: BivariateDataset) -> PredictionBand:
+    """Band between the lower and upper conditional-quantile curves at
+    ``gamma``, around the median curve.
+
+    The three curves are the fits in ``fits`` at :func:`pqrm_band_taus`;
+    a tau matches when it rounds to the band tau at 10 decimals.  Quantile
+    curves may cross; crossing grid indices are flagged and the area
+    computation clamps the height at zero there.
     """
+    taus = pqrm_band_taus(gamma)
+    by_tau = {round(f.tau, 10): f for f in fits}
+    missing = [t for t in taus if t not in by_tau]
+    if missing:
+        raise QuantileError(f"no fit at band tau(s) {missing} for gamma={gamma}")
+    fit_lo, fit_center, fit_hi = (by_tau[t] for t in taus)
     t_lo, t_hi = fit_lo.tau, fit_hi.tau
-    if not t_lo < t_hi:
-        raise QuantileError("lower tau must be below upper tau")
-    if abs((t_lo + t_hi) - 1.0) > 1e-9:
-        raise QuantileError(
-            f"bounding taus must be symmetric around 0.5, got ({t_lo}, {t_hi})"
-        )
-    if abs(fit_center.tau - 0.5) > 1e-9:
-        raise QuantileError(f"center fit must be the median (tau=0.5), got {fit_center.tau}")
-    gamma = float(np.round(t_hi - t_lo, 10))
     xs = ds.xs
     lower = eval_segmented(fit_lo.model, xs)
     upper = eval_segmented(fit_hi.model, xs)
@@ -574,7 +576,7 @@ def pqrm_prediction_band(
         center=center,
         lower=lower,
         upper=upper,
-        gamma=gamma,
+        gamma=float(np.round(t_hi - t_lo, 10)),
         method="PQRM",
         crossings=crossings,
         meta={"tau_lower": t_lo, "tau_upper": t_hi},

@@ -157,9 +157,7 @@ def test_c05_bootstrap_band_coverage():
         data_rng = bl.RngSpec(5000 + rep)
         ys = 1.0 + 2.0 * xs + 0.5 * bl.standard_normal(data_rng.stream(0), 100)
         ds = bl.BivariateDataset.from_arrays(xs, ys)
-        band = bl.bootstrap_band(
-            ds, bl.ols_line_fitter, bl.BandConfig(B=2000, gamma=0.80, rng=bl.RngSpec(rep))
-        )
+        band = bl.bootstrap_band(ds, bl.ols_line_fitter, 0.80, 2000, bl.RngSpec(rep))
         fresh = 1.0 + 2.0 * xs + 0.5 * bl.standard_normal(data_rng.stream(999), 100)
         coverages.append(float(np.mean((fresh >= band.lower) & (fresh <= band.upper))))
     elapsed = time.time() - t0
@@ -177,9 +175,7 @@ def test_c06_bootstrap_determinism(tmp_path):
     ds = bl.generate(spec)
     files = []
     for name in ("a.csv", "b.csv"):
-        band = bl.bootstrap_band(
-            ds, bl.ols_line_fitter, bl.BandConfig(B=100, gamma=0.8, rng=bl.RngSpec(42))
-        )
+        band = bl.bootstrap_band(ds, bl.ols_line_fitter, 0.8, 100, bl.RngSpec(42))
         bl.compute_area(band)
         path = tmp_path / name
         write_band_csv(path, band)
@@ -207,11 +203,11 @@ def test_c07_band_area_correctness():
     ds = bl.generate(spec)
     ls = bl.fit_segmented(ds)
     bands = [
-        bl.bootstrap_band(ds, bl.ols_line_fitter, bl.BandConfig(B=200, gamma=0.8, rng=bl.RngSpec(1))),
+        bl.bootstrap_band(ds, bl.ols_line_fitter, 0.8, 200, bl.RngSpec(1)),
         *bl.plrm_prediction_band(ls, ds, [0.8]),
     ]
-    q_fits = {t: fit_segmented_quantile(ds, t) for t in (0.1, 0.5, 0.9)}
-    bands.append(bl.pqrm_prediction_band(q_fits[0.1], q_fits[0.5], q_fits[0.9], ds))
+    q_fits = [fit_segmented_quantile(ds, t) for t in (0.1, 0.5, 0.9)]
+    bands.append(bl.pqrm_prediction_band(q_fits, 0.8, ds))
     worst_rel = 0.0
     for band in bands:
         exact = bl.band_area_exact(band)
@@ -270,8 +266,7 @@ def test_c09_method_comparison_tendency():
         pl_iv = bl.breakpoint_intervals(ls, 0.80)
         pl_width = pl_iv["alpha2"][1] - pl_iv["alpha2"][0]
         interval_wins += table.alpha2_width < pl_width
-        by_tau = {round(f.tau, 2): f for f in fits}
-        pq_band = bl.pqrm_prediction_band(by_tau[0.1], by_tau[0.5], by_tau[0.9], ds)
+        pq_band = bl.pqrm_prediction_band(fits, 0.80, ds)
         (pl_band,) = bl.plrm_prediction_band(ls, ds, [0.80])
         area_wins += bl.band_area(pq_band) < bl.band_area(pl_band)
     ok = interval_wins >= 0.6 * seeds and area_wins >= 0.6 * seeds

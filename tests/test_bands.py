@@ -3,7 +3,6 @@ import pytest
 
 from breakline import bands
 from breakline.bands import (
-    BandConfig,
     BootstrapError,
     PredictionBand,
     band_from_pool,
@@ -12,6 +11,7 @@ from breakline.bands import (
     ols_line_fitter,
     predicted_residual_pool,
 )
+from breakline.area import band_area
 from breakline.dataset import BivariateDataset
 from breakline.loess import LoessConfig, loess_fitter
 from breakline.piecewise import segmented_fitter
@@ -26,33 +26,37 @@ def _line_dataset(n=30, noise=0.0, seed=0):
     return BivariateDataset.from_arrays(xs, ys)
 
 
-def test_config_validation():
-    with pytest.raises(BootstrapError):
-        BandConfig(B=100, gamma=1.0)
-    with pytest.raises(BootstrapError):
-        BandConfig(B=100, gamma=0.0)
+def test_bootstrap_bands_check_gamma_and_B():
+    ds = _line_dataset(noise=0.3)
+
+    def bands(B, gamma):
+        return bootstrap_bands(ds, ols_line_fitter, [gamma], B, RngSpec(1))
+
+    with pytest.raises(BootstrapError, match=r"gamma must be in \(0, 1\), got 1.0"):
+        bands(100, 1.0)
+    with pytest.raises(BootstrapError, match=r"gamma must be in \(0, 1\), got 0.0"):
+        bands(100, 0.0)
     # B >= 2/(1-gamma): gamma 0.95 needs at least 40
-    with pytest.raises(BootstrapError):
-        BandConfig(B=30, gamma=0.95)
-    BandConfig(B=40, gamma=0.95)
+    with pytest.raises(BootstrapError, match="B=30 is too small for gamma=0.95"):
+        bands(30, 0.95)
+    bands(40, 0.95)
     # gamma 0.8 needs B >= 10, although 2/(1-0.8) rounds to 10.000000000000002
-    BandConfig(B=10, gamma=0.8)
+    bands(10, 0.8)
     with pytest.raises(BootstrapError):
-        BandConfig(B=9, gamma=0.8)
+        bands(9, 0.8)
 
 
 def test_zero_residuals_collapse_band():
     ds = _line_dataset(noise=0.0)
-    band = bootstrap_band(ds, ols_line_fitter, BandConfig(B=50, gamma=0.8, rng=RngSpec(1)))
+    band = bootstrap_band(ds, ols_line_fitter, 0.8, 50, RngSpec(1))
     assert np.allclose(band.lower, band.center, atol=1e-12)
     assert np.allclose(band.upper, band.center, atol=1e-12)
 
 
 def test_deterministic_given_seed():
     ds = _line_dataset(noise=0.3)
-    cfg = BandConfig(B=100, gamma=0.8, rng=RngSpec(7))
-    a = bootstrap_band(ds, ols_line_fitter, cfg)
-    b = bootstrap_band(ds, ols_line_fitter, cfg)
+    a = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(7))
+    b = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(7))
     assert np.array_equal(a.lower, b.lower)
     assert np.array_equal(a.upper, b.upper)
     assert np.array_equal(a.center, b.center)
@@ -60,21 +64,20 @@ def test_deterministic_given_seed():
 
 def test_different_seeds_differ():
     ds = _line_dataset(noise=0.3)
-    a = bootstrap_band(ds, ols_line_fitter, BandConfig(B=100, gamma=0.8, rng=RngSpec(1)))
-    b = bootstrap_band(ds, ols_line_fitter, BandConfig(B=100, gamma=0.8, rng=RngSpec(2)))
+    a = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(1))
+    b = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(2))
     assert not np.array_equal(a.lower, b.lower)
 
 
 def test_quantile_ordering_and_center_not_required_inside():
     ds = _line_dataset(noise=0.5, seed=3)
-    band = bootstrap_band(ds, ols_line_fitter, BandConfig(B=200, gamma=0.9, rng=RngSpec(3)))
+    band = bootstrap_band(ds, ols_line_fitter, 0.9, 200, RngSpec(3))
     assert np.all(band.lower <= band.upper)
 
 
 def test_gamma_monotone_nested_from_shared_pool():
     ds = _line_dataset(noise=0.4, seed=5)
-    cfg = BandConfig(B=400, gamma=0.95, rng=RngSpec(5))
-    narrow, wide = bootstrap_bands(ds, ols_line_fitter, cfg, [0.5, 0.95])
+    narrow, wide = bootstrap_bands(ds, ols_line_fitter, [0.5, 0.95], 400, RngSpec(5))
     assert np.all(wide.lower <= narrow.lower)
     assert np.all(narrow.upper <= wide.upper)
 
@@ -95,6 +98,23 @@ def test_quantile_convention_linear_interpolation():
     assert band.upper[0] == pytest.approx(10.0 + 2.25)
 
 
+def test_tied_rows_share_one_envelope():
+    """Rows at one x value draw from one predictive distribution, so they
+    get one quantile of their pooled draws, and the band's area does not
+    depend on their order."""
+    xs = np.repeat(np.linspace(0.0, 1.0, 20), 2)
+    ys = 1.0 + 2.0 * xs + 0.5 * standard_normal(RngSpec(8).stream(0), xs.size)
+    ds = BivariateDataset.from_arrays(xs, ys)
+    band = bootstrap_band(ds, loess_fitter(LoessConfig(span=0.5, robust_iterations=2)), 0.9, 100, RngSpec(2))
+    assert np.array_equal(band.lower[::2], band.lower[1::2])
+    assert np.array_equal(band.upper[::2], band.upper[1::2])
+    swap = np.arange(xs.size).reshape(-1, 2)[:, ::-1].ravel()
+    swapped = PredictionBand(
+        grid_x=band.grid_x, center=band.center[swap], lower=band.lower[swap], upper=band.upper[swap], gamma=0.9
+    )
+    assert band_area(swapped) == band_area(band)
+
+
 def _counting(fitter, fail_on=(), raise_type=ValueError):
     """A block fitter that counts its calls and rows and raises on the
     listed call numbers (1 is the center fit)."""
@@ -112,17 +132,16 @@ def _counting(fitter, fail_on=(), raise_type=ValueError):
 
 def test_retry_then_success():
     ds = _line_dataset(noise=0.2)
-    config = BandConfig(B=10, gamma=0.5, rng=RngSpec(4))
     # the block of replicates fails, then replicate 0 refit alone fails
     # twice more and recovers: three failures, as a per-replicate retry
     flaky, seen = _counting(ols_line_fitter, fail_on=(2, 3, 4))
-    center, pool = predicted_residual_pool(ds, flaky, config)
+    center, pool = predicted_residual_pool(ds, flaky, 10, RngSpec(4))
     assert np.array_equal(center, ols_line_fitter(ds.xs, ds.ys[None, :])[0])
     assert pool.shape == (10, ds.n)
     assert seen["calls"] == 1 + 1 + 3 + 9  # center, block, replicate 0 thrice, 1..9 alone
     assert seen["rows"] == 1 + 10 + 3 + 9
     # the retries draw from replicate 0's stream only
-    _, clean = predicted_residual_pool(ds, ols_line_fitter, config)
+    _, clean = predicted_residual_pool(ds, ols_line_fitter, 10, RngSpec(4))
     assert np.array_equal(pool[1:], clean[1:])
     assert not np.array_equal(pool[0], clean[0])
 
@@ -131,7 +150,7 @@ def test_abort_after_retries_reports_replicate():
     ds = _line_dataset(noise=0.2)
     always_fail_after_first, seen = _counting(ols_line_fitter, fail_on=range(2, 100))
     with pytest.raises(BootstrapError, match="replicate 0"):
-        predicted_residual_pool(ds, always_fail_after_first, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+        predicted_residual_pool(ds, always_fail_after_first, 5, RngSpec(1))
     assert seen["calls"] == 1 + 1 + 11  # center, block, replicate 0 and its 10 retries
 
 
@@ -139,7 +158,7 @@ def test_fitter_bug_propagates_unchanged():
     ds = _line_dataset(noise=0.2)
     buggy, seen = _counting(ols_line_fitter, fail_on=(2,), raise_type=TypeError)
     with pytest.raises(TypeError, match="injected"):
-        predicted_residual_pool(ds, buggy, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+        predicted_residual_pool(ds, buggy, 5, RngSpec(1))
     assert seen["calls"] == 2  # the block raised; no replicate was refit alone or retried
 
 
@@ -158,7 +177,7 @@ def test_fitter_bug_in_a_single_refit_propagates_unchanged():
         return ols_line_fitter(xs, Y)
 
     with pytest.raises(TypeError, match="not a fit failure"):
-        predicted_residual_pool(ds, buggy, BandConfig(B=5, gamma=0.5, rng=RngSpec(1)))
+        predicted_residual_pool(ds, buggy, 5, RngSpec(1))
     assert calls["n"] == 3  # no retry
 
 
@@ -176,10 +195,10 @@ def test_band_shape_validation():
 def test_fitter_output_shape_checked():
     ds = _line_dataset()
     with pytest.raises(BootstrapError, match="one fitted value"):
-        bootstrap_band(ds, lambda xs, Y: np.zeros(3), BandConfig(B=10, gamma=0.5))
+        bootstrap_band(ds, lambda xs, Y: np.zeros(3), 0.5, 10, RngSpec())
     # a block of replicates is checked as well as the center fit
     with pytest.raises(BootstrapError, match="one fitted value"):
-        bootstrap_band(ds, lambda xs, Y: Y if len(Y) == 1 else Y[:1], BandConfig(B=10, gamma=0.5))
+        bootstrap_band(ds, lambda xs, Y: Y if len(Y) == 1 else Y[:1], 0.5, 10, RngSpec())
 
 
 def test_ols_fitter_fits_each_row():
@@ -213,12 +232,11 @@ def _row_rule_fitter(xs, Y):
 )
 def test_pool_and_bands_do_not_depend_on_block_size(monkeypatch, fitter):
     ds = _line_dataset(n=40, noise=0.3, seed=2)
-    config = BandConfig(B=30, gamma=0.9, rng=RngSpec(6))
     results = []
     for block in (1, 7, bands._BLOCK):
         monkeypatch.setattr(bands, "_BLOCK", block)
-        center, pool = predicted_residual_pool(ds, fitter, config)
-        lo, hi = bootstrap_bands(ds, fitter, config, [0.5, 0.9])
+        center, pool = predicted_residual_pool(ds, fitter, 30, RngSpec(6))
+        lo, hi = bootstrap_bands(ds, fitter, [0.5, 0.9], 30, RngSpec(6))
         results.append([center, pool, lo.lower, lo.upper, hi.lower, hi.upper])
     for other in results[1:]:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(results[0], other))

@@ -213,6 +213,28 @@ def test_fit_failure_is_exit_3_with_quarantine(tmp_path, command):
     assert record["error_type"] == "SegmentedError"
 
 
+@pytest.mark.parametrize("gamma", ["1.5", "0"])
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (["loess-band", "--bootstrap", "40"], "BootstrapError"),
+        (["plrm"], "SegmentedError"),
+        (["plrm", "--band-method", "bootstrap", "--bootstrap", "40"], "SegmentedError"),
+        (["pqrm"], "QuantileError"),
+        (["compare", "--bootstrap", "40"], "BootstrapError"),
+    ],
+    ids=["loess-band", "plrm", "plrm-bootstrap", "pqrm", "compare"],
+)
+def test_gamma_outside_unit_interval_is_exit_3(tmp_path, argv, error_type, gamma):
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=12, n=40)
+    out = tmp_path / "badgamma"
+    code = main([*argv, "--input", str(csv_path), "--x", "x", "--y", "y", "--gamma", gamma, "--out", str(out)])
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == error_type
+    assert record["message"] == f"gamma must be in (0, 1), got {float(gamma)}"
+
+
 def test_partial_tau_rows_exit_4(tmp_path):
     csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=7, n=30)
     out = tmp_path / "partial"

@@ -342,6 +342,24 @@ def test_profile_interval_endpoints_on_cutoff_or_edge(case):
     assert (on_cutoff, on_edge) == ((4, 0) if case == "noisy" else (0, 4))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the profile is sampled only at cell edges and the estimate, so a dip below the cutoff "
+    "inside a cell whose edges are above it is missed (ROADMAP item 3)",
+)
+def test_profile_interval_reaches_a_dip_inside_a_cell():
+    rng = np.random.default_rng(22)
+    xs = np.sort(rng.uniform(0.0, 1.0, 100))
+    ds = BivariateDataset.from_arrays(xs, eval_segmented(TRUTH, xs) + 0.5 * rng.standard_normal(100))
+    fit = fit_segmented(ds)
+    cutoff = fit.rss * (1.0 + stats.f.ppf(0.95, 1, fit.df) / fit.df)
+    # the exact profile of alpha2 is 0.9995 of the cutoff at 0.8555
+    if not _brute_profile(ds.xs, ds.ys, 1, 0.8555) <= cutoff:
+        pytest.fail("the alpha2 profile no longer dips below the cutoff at 0.8555")
+    assert breakpoint_intervals(fit, 0.95)["alpha2"][1] >= 0.8555
+
+
 def test_profile_interval_contains_estimate():
     for seed in range(8):
         fit = fit_segmented(_noisy(n=40, sigma=0.6, seed=seed))

@@ -23,6 +23,7 @@ from breakline.quantile import (
     fit_quantile_linear,
     fit_segmented_quantile,
     fit_tau_grid,
+    pqrm_band_taus,
     pqrm_prediction_band,
     quantile_breakpoint_intervals,
 )
@@ -248,7 +249,7 @@ def test_band_noiseless_zero_width():
     lo = fit_segmented_quantile(ds, 0.1)
     mid = fit_segmented_quantile(ds, 0.5)
     hi = fit_segmented_quantile(ds, 0.9)
-    band = pqrm_prediction_band(lo, mid, hi, ds)
+    band = pqrm_prediction_band([lo, mid, hi], 0.8, ds)
     assert band.gamma == pytest.approx(0.8)
     assert np.max(np.abs(band.upper - band.lower)) < 1e-9
     assert band.crossings == ()
@@ -256,15 +257,19 @@ def test_band_noiseless_zero_width():
 
 def test_band_validates_taus():
     ds = _grid_dataset(sigma=0.0)
-    lo = fit_segmented_quantile(ds, 0.1)
-    mid = fit_segmented_quantile(ds, 0.5)
-    hi = fit_segmented_quantile(ds, 0.9)
-    with pytest.raises(QuantileError):
-        pqrm_prediction_band(hi, mid, lo, ds)
-    with pytest.raises(QuantileError):
-        pqrm_prediction_band(lo, mid, fit_segmented_quantile(ds, 0.8), ds)
-    with pytest.raises(QuantileError):
-        pqrm_prediction_band(lo, fit_segmented_quantile(ds, 0.3), hi, ds)
+    assert pqrm_band_taus(0.8) == (0.1, 0.5, 0.9)
+    assert pqrm_band_taus(0.95) == (0.025, 0.5, 0.975)
+    fits = [_dummy_fit(t, 0.3, 0.6) for t in (0.1, 0.5, 0.9)]
+    for gamma in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(QuantileError, match=rf"gamma must be in \(0, 1\), got {gamma}"):
+            pqrm_prediction_band(fits, gamma, ds)
+    with pytest.raises(QuantileError, match=r"\[0.025, 0.975\]"):
+        pqrm_prediction_band(fits, 0.95, ds)
+    with pytest.raises(QuantileError, match=r"\[0.5\]"):
+        pqrm_prediction_band([fits[0], fits[2]], 0.8, ds)
+    # the curves are picked by tau, whatever the order of the fits
+    band = pqrm_prediction_band(fits[::-1], 0.8, ds)
+    assert (band.meta["tau_lower"], band.meta["tau_upper"]) == (0.1, 0.9)
 
 
 def test_band_flags_crossings():
@@ -273,7 +278,7 @@ def test_band_flags_crossings():
     lo.model = SegmentedModel(beta=(1.0, 0.0, 0.0, 0.0), alpha=(0.3, 0.6))
     mid = _dummy_fit(0.5, 0.3, 0.6)
     hi = _dummy_fit(0.9, 0.3, 0.6)  # upper curve identically 0, below lower
-    band = pqrm_prediction_band(lo, mid, hi, ds)
+    band = pqrm_prediction_band([lo, mid, hi], 0.8, ds)
     assert len(band.crossings) == ds.n
     assert np.all(band.lower > band.upper)
 
