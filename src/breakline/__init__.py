@@ -13,7 +13,6 @@ from .dataset import (
     BivariateDataset,
     DataError,
     TransformSpec,
-    dataset_from_json,
     dataset_to_json,
     load_dataset,
     summarize,
@@ -86,7 +85,6 @@ __all__ = [
     "compare_methods",
     "compute_area",
     "contrast_inference",
-    "dataset_from_json",
     "dataset_to_json",
     "eval_segmented",
     "fit_loess",

@@ -107,14 +107,6 @@ def _parse_noise(text: str):
     raise DataError(f"cannot parse noise spec {text!r} (use gaussian:s or wedge:s0,c)")
 
 
-def _formats(args) -> set[str]:
-    wanted = set((args.format or "json,csv,svg").split(","))
-    unknown = wanted - {"json", "csv", "svg"}
-    if unknown:
-        raise DataError(f"unknown output format(s): {sorted(unknown)}")
-    return wanted
-
-
 def _load(args) -> BivariateDataset:
     return load_dataset(
         args.input,
@@ -138,22 +130,19 @@ def _loess_fitter(args):
     return loess_fitter(LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters))
 
 
-def _emit_band(out: _Outputs, band, formats, prefix: str = "") -> None:
-    if "csv" in formats:
-        write_band_csv(out.path(f"{prefix}band_gamma{int(round(band.gamma * 100)):03d}.csv"), band)
+def _emit_band(out: _Outputs, band, prefix: str = "") -> None:
+    write_band_csv(out.path(f"{prefix}band_gamma{int(round(band.gamma * 100)):03d}.csv"), band)
 
 
-def _area_and_emit(out: _Outputs, bands, formats) -> dict[str, float]:
+def _area_and_emit(out: _Outputs, bands) -> dict[str, float]:
     """Compute each band's area and write its CSV; returns the areas keyed by gamma."""
     for band in bands:
         compute_area(band)
-        _emit_band(out, band, formats)
+        _emit_band(out, band)
     return {f"{b.gamma:g}": b.area for b in bands}
 
 
-def _emit_figure(out: _Outputs, name: str, ds, bands, formats, curves=None, ticks=None, title="") -> None:
-    if "svg" not in formats:
-        return
+def _emit_figure(out: _Outputs, name: str, ds, bands, curves=None, ticks=None, title="") -> None:
     write_svg_figure(out.path(f"{name}.svg"), ds, bands, curves=curves, breakpoint_ticks=ticks, title=title)
     elements = []
     for band in bands:
@@ -185,81 +174,73 @@ def cmd_synth(args, out: _Outputs) -> int:
         x_max=x_hi,
     )
     ds = generate(spec)
-    ds = BivariateDataset.from_arrays(ds.xs, ds.ys, x_name=args.x_name, y_name=args.y_name)
-    formats = _formats(args)
     write_dataset_csv(out.path("dataset.csv"), ds)
-    if "json" in formats:
-        out.path("dataset.json").write_text(dataset_to_json(ds), encoding="utf-8")
-        write_json(
-            out.path("synth_config.json"),
-            {
-                "beta": beta,
-                "alpha": alpha,
-                "n": args.n,
-                "noise": args.noise,
-                "seed": args.seed,
-                "x_range": [x_lo, x_hi],
-            },
-        )
+    out.path("dataset.json").write_text(dataset_to_json(ds), encoding="utf-8")
+    write_json(
+        out.path("synth_config.json"),
+        {
+            "beta": beta,
+            "alpha": alpha,
+            "n": args.n,
+            "noise": args.noise,
+            "seed": args.seed,
+            "x_range": [x_lo, x_hi],
+        },
+    )
     return 0
 
 
 def cmd_loess_band(args, out: _Outputs) -> int:
     ds = _load(args)
-    formats = _formats(args)
     gammas = _gammas(args)
     bands = bootstrap_bands(ds, _loess_fitter(args), gammas, args.bootstrap, RngSpec(args.seed), method="BL")
-    areas = _area_and_emit(out, bands, formats)
-    if "json" in formats:
-        write_json(
-            out.path("summary.json"),
-            {
-                "method": "BL",
-                "loess": {"span": args.span, "degree": args.degree, "robust_iterations": args.robust_iters},
-                "bootstrap": {"B": args.bootstrap, "seed": args.seed},
-                "areas": areas,
-                "dataset_summary": _summary_rows(ds),
-            },
-        )
-    _emit_figure(out, "figure_loess_band", ds, bands, formats, title="loess with bootstrap prediction bands")
+    areas = _area_and_emit(out, bands)
+    write_json(
+        out.path("summary.json"),
+        {
+            "method": "BL",
+            "loess": {"span": args.span, "degree": args.degree, "robust_iterations": args.robust_iters},
+            "bootstrap": {"B": args.bootstrap, "seed": args.seed},
+            "areas": areas,
+            "dataset_summary": _summary_rows(ds),
+        },
+    )
+    _emit_figure(out, "figure_loess_band", ds, bands, title="loess with bootstrap prediction bands")
     return 0
 
 
 def cmd_plrm(args, out: _Outputs) -> int:
     ds = _load(args)
-    formats = _formats(args)
     fit = fit_segmented(ds, min_segment_points=args.min_seg_points)
-    if "json" in formats:
-        write_json(
-            out.path("fit_report.json"),
-            {
-                "method": "PLRM",
-                "rows": fit_report_rows(fit),
-                "rss": fit.rss,
-                "df": fit.df,
-                "sigma2": fit.sigma2,
-                "unidentified": list(fit.unidentified),
-            },
-        )
+    write_json(
+        out.path("fit_report.json"),
+        {
+            "method": "PLRM",
+            "rows": fit_report_rows(fit),
+            "rss": fit.rss,
+            "df": fit.df,
+            "sigma2": fit.sigma2,
+            "unidentified": list(fit.unidentified),
+        },
+    )
     gammas = _gammas(args)
     force_bootstrap = args.band_method == "bootstrap"
     bands = plrm_prediction_band(fit, ds, gammas, args.bootstrap, args.seed, force_bootstrap)
-    areas = _area_and_emit(out, bands, formats)
+    areas = _area_and_emit(out, bands)
     ci95 = breakpoint_intervals(fit, 0.95)
     title = "piecewise linear fit with prediction bands"
-    _emit_figure(out, "figure_plrm", ds, bands, formats, ticks=list(ci95.values()), title=title)
-    if "json" in formats:
-        write_json(
-            out.path("summary.json"),
-            {
-                "method": "PLRM",
-                "alpha": list(fit.model.alpha),
-                "beta": list(fit.model.beta),
-                "areas": areas,
-                "breakpoint_ci95": {k: list(v) for k, v in ci95.items()},
-                "breakpoint_ci_method": _PLRM_CI_METHOD,
-            },
-        )
+    _emit_figure(out, "figure_plrm", ds, bands, ticks=list(ci95.values()), title=title)
+    write_json(
+        out.path("summary.json"),
+        {
+            "method": "PLRM",
+            "alpha": list(fit.model.alpha),
+            "beta": list(fit.model.beta),
+            "areas": areas,
+            "breakpoint_ci95": {k: list(v) for k, v in ci95.items()},
+            "breakpoint_ci_method": _PLRM_CI_METHOD,
+        },
+    )
     return 0
 
 
@@ -283,50 +264,45 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
 
 def cmd_pqrm(args, out: _Outputs) -> int:
     ds = _load(args)
-    formats = _formats(args)
     taus = _taus(args)
     (gamma,) = _gammas(args, (0.80,))
     fits, table, band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
-    if "csv" in formats:
-        write_tau_table_csv(out.path("tau_table.csv"), table)
-    if "json" in formats:
-        write_json(
-            out.path("intervals.json"),
-            {
-                "method": "PQRM",
-                "coverage": table.coverage_label,
-                "alpha1": list(table.alpha1_interval),
-                "alpha2": list(table.alpha2_interval),
-                "rows": [{"tau": t, "alpha1": a1, "alpha2": a2} for t, a1, a2 in table.rows],
-                "partial": table.partial,
-                "failed_taus": list(table.failed_taus),
-            },
-        )
+    write_tau_table_csv(out.path("tau_table.csv"), table)
+    write_json(
+        out.path("intervals.json"),
+        {
+            "method": "PQRM",
+            "coverage": table.coverage_label,
+            "alpha1": list(table.alpha1_interval),
+            "alpha2": list(table.alpha2_interval),
+            "rows": [{"tau": t, "alpha1": a1, "alpha2": a2} for t, a1, a2 in table.rows],
+            "partial": table.partial,
+            "failed_taus": list(table.failed_taus),
+        },
+    )
     bands = [] if band is None else [band]
-    _area_and_emit(out, bands, formats)
+    _area_and_emit(out, bands)
     curves = [
         (f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs))
         for fit in fits
         if round(fit.tau, 10) in pqrm_band_taus(gamma)
     ]
-    _emit_figure(out, "figure_pqrm", ds, bands, formats, curves=curves, title="piecewise quantile fits")
-    if "json" in formats:
-        write_json(
-            out.path("summary.json"),
-            {
-                "method": "PQRM",
-                "tau_grid": [float(t) for t in taus],
-                "coverage": table.coverage_label,
-                "band_area": None if band is None else band.area,
-                "partial": partial,
-            },
-        )
+    _emit_figure(out, "figure_pqrm", ds, bands, curves=curves, title="piecewise quantile fits")
+    write_json(
+        out.path("summary.json"),
+        {
+            "method": "PQRM",
+            "tau_grid": [float(t) for t in taus],
+            "coverage": table.coverage_label,
+            "band_area": None if band is None else band.area,
+            "partial": partial,
+        },
+    )
     return 4 if partial else 0
 
 
 def cmd_compare(args, out: _Outputs) -> int:
     ds = _load(args)
-    formats = _formats(args)
     (gamma,) = _gammas(args, (0.80,))
     taus = _taus(args)
     # the pool's center fit runs first, so loess errors surface before the slow part
@@ -337,8 +313,7 @@ def cmd_compare(args, out: _Outputs) -> int:
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")
 
-    level = float(table.coverage_label.rstrip("%")) / 100.0
-    pl_iv = breakpoint_intervals(ls_fit, level)
+    pl_iv = breakpoint_intervals(ls_fit, table.coverage)
     intervals = [
         MethodIntervals("PLRM", table.coverage_label, pl_iv["alpha1"], pl_iv["alpha2"]),
         MethodIntervals("PQRM", table.coverage_label, table.alpha1_interval, table.alpha2_interval),
@@ -346,20 +321,16 @@ def cmd_compare(args, out: _Outputs) -> int:
     bands = {"BL": bl_band, "PLRM": pl_band, "PQRM": pq_band}
     report = compare_methods(bands, intervals)
 
-    if "json" in formats:
-        write_json(
-            out.path("comparison.json"), {**report.to_jsonable(), "breakpoint_ci_method": _PLRM_CI_METHOD}
-        )
-        write_json(out.path("plrm_fit_report.json"), {"method": "PLRM", "rows": fit_report_rows(ls_fit)})
-    if "csv" in formats:
-        write_comparison_csv(out.path("comparison.csv"), report)
-        write_tau_table_csv(out.path("tau_table.csv"), table)
+    write_json(out.path("comparison.json"), {**report.to_jsonable(), "breakpoint_ci_method": _PLRM_CI_METHOD})
+    write_json(out.path("plrm_fit_report.json"), {"method": "PLRM", "rows": fit_report_rows(ls_fit)})
+    write_comparison_csv(out.path("comparison.csv"), report)
+    write_tau_table_csv(out.path("tau_table.csv"), table)
     for name, band in bands.items():
-        _emit_band(out, band, formats, prefix=f"{name.lower()}_")
-    _emit_figure(out, "figure_bl", ds, [bl_band], formats, title="bootstrapped loess band")
+        _emit_band(out, band, prefix=f"{name.lower()}_")
+    _emit_figure(out, "figure_bl", ds, [bl_band], title="bootstrapped loess band")
     ticks = list(breakpoint_intervals(ls_fit, 0.95).values())
-    _emit_figure(out, "figure_plrm", ds, [pl_band], formats, ticks=ticks, title="piecewise linear band")
-    _emit_figure(out, "figure_pqrm", ds, [pq_band], formats, title="piecewise quantile band")
+    _emit_figure(out, "figure_plrm", ds, [pl_band], ticks=ticks, title="piecewise linear band")
+    _emit_figure(out, "figure_pqrm", ds, [pq_band], title="piecewise quantile band")
     return 4 if partial else 0
 
 
@@ -374,7 +345,6 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", default=None, help="comma list from json,csv,svg (default all)")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -413,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--x-range", default="0,1")
     p.add_argument("--noise", default="gaussian:0.5", help="gaussian:sigma | wedge:sigma0,c")
-    p.add_argument("--x-name", default="x")
-    p.add_argument("--y-name", default="y")
     _add_common_args(p)
     p.set_defaults(func=cmd_synth)
 

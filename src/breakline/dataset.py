@@ -71,24 +71,15 @@ class TransformSpec:
             return {"kind": "affine", "a": self.a, "b": self.b}
         return {"kind": self.kind}
 
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "TransformSpec":
-        kind = obj.get("kind", "identity")
-        if kind == "affine":
-            return cls(kind="affine", a=float(obj["a"]), b=float(obj["b"]))
-        return cls(kind=kind)
-
 
 IDENTITY = TransformSpec()
 
 
 @dataclass(frozen=True, eq=False)
 class BivariateDataset:
-    """Paired (x, y) observations, stored sorted by x ascending.
-
-    ``source_index`` records, for each stored point, its position in the
-    original input (stable sort, so ties in x keep input order).  Instances
-    are immutable; the arrays are marked read-only.
+    """Paired (x, y) observations, stored sorted by x ascending (stable
+    sort, so ties in x keep input order).  Instances are immutable; the
+    arrays are marked read-only.
     """
 
     xs: np.ndarray
@@ -98,7 +89,6 @@ class BivariateDataset:
     y_name: str
     x_transform: TransformSpec
     y_transform: TransformSpec
-    source_index: np.ndarray
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -113,8 +103,8 @@ class BivariateDataset:
             raise DataError("points must be sorted by x ascending; use from_arrays()")
         if self.labels is not None and len(self.labels) != xs.size:
             raise DataError("labels must align with the points")
-        for arr in (xs, ys, self.source_index):
-            np.asarray(arr).setflags(write=False)
+        for arr in (xs, ys):
+            arr.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -157,19 +147,6 @@ class BivariateDataset:
             y_name=y_name,
             x_transform=x_transform,
             y_transform=y_transform,
-            source_index=order.copy(),
-        )
-
-    def equals(self, other: "BivariateDataset") -> bool:
-        """Value equality on points and metadata (provenance excluded)."""
-        return (
-            np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.ys, other.ys)
-            and self.labels == other.labels
-            and self.x_name == other.x_name
-            and self.y_name == other.y_name
-            and self.x_transform == other.x_transform
-            and self.y_transform == other.y_transform
         )
 
 
@@ -250,8 +227,7 @@ def dataset_to_json(ds: BivariateDataset) -> str:
     """Serialize to the JSON echo format.
 
     ``{x_name, y_name, transforms, points: [{x, y, label}]}``; point values
-    are the stored (already transformed) numbers, so reloading must not
-    re-apply the transforms.
+    are the stored (already transformed) numbers.
     """
     points = []
     for i in range(ds.n):
@@ -269,27 +245,6 @@ def dataset_to_json(ds: BivariateDataset) -> str:
         "points": points,
     }
     return json.dumps(doc, indent=2)
-
-
-def dataset_from_json(text: str) -> BivariateDataset:
-    """Inverse of :func:`dataset_to_json` (transforms stay metadata)."""
-    doc = json.loads(text)
-    points = doc["points"]
-    if not points:
-        raise DataError("empty dataset in JSON document")
-    xs = [p["x"] for p in points]
-    ys = [p["y"] for p in points]
-    labels = [p.get("label") for p in points]
-    has_labels = any(lab is not None for lab in labels)
-    return BivariateDataset.from_arrays(
-        xs,
-        ys,
-        labels=labels if has_labels else None,
-        x_name=doc["x_name"],
-        y_name=doc["y_name"],
-        x_transform=TransformSpec.from_jsonable(doc["transforms"]["x"]),
-        y_transform=TransformSpec.from_jsonable(doc["transforms"]["y"]),
-    )
 
 
 def write_dataset_csv(path, ds: BivariateDataset) -> None:

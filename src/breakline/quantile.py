@@ -14,7 +14,7 @@ local grid around the incumbent.  The fit is the optimum over those
 candidates only where the simplex is: at a degenerate vertex (a residual
 pinned at zero off the basis, as tied responses produce) it can stop short of
 a pair's optimum, and the fit can then miss the grid optimum.  It is not
-optimal over the continuum of breakpoint pairs (ROADMAP.md, item 5).
+optimal over the continuum of breakpoint pairs (ROADMAP.md, item 6).
 
 A tau grid is fitted in one lockstep sweep: the candidate pairs are walked
 once, and at each pair the hinge columns are written once and a block
@@ -424,9 +424,9 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
             i_c = int(np.searchsorted(mids, a1_c))
             j_c = int(np.searchsorted(mids, a2_c))
             lo1 = mids[max(i_c - 1, 0)]
-            hi1 = mids[min(i_c + 1, m - 1)] if i_c < m else mids[-1]
+            hi1 = mids[min(i_c + 1, m - 1)]
             lo2 = mids[max(j_c - 1, 0)]
-            hi2 = mids[min(j_c + 1, m - 1)] if j_c < m else mids[-1]
+            hi2 = mids[min(j_c + 1, m - 1)]
             grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), _REFINE_POINTS)
             grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), _REFINE_POINTS)
             for a1 in grid1:
@@ -477,13 +477,6 @@ def fit_tau_grid(ds: BivariateDataset, taus: Sequence[float] = DEFAULT_TAU_GRID,
     return fits, failures
 
 
-def _coverage_label(t_min: float, t_max: float) -> str:
-    value = round((t_max - t_min) * 100.0, 6)
-    if abs(value - round(value)) < 1e-9:
-        return f"{int(round(value))}%"
-    return f"{value:g}%"
-
-
 @dataclass
 class QuantileBreakpointTable:
     """Breakpoint estimates per tau plus the range-of-estimates intervals.
@@ -495,9 +488,16 @@ class QuantileBreakpointTable:
     rows: list[tuple[float, float | None, float | None]]
     alpha1_interval: tuple[float, float]
     alpha2_interval: tuple[float, float]
-    coverage_label: str
+    coverage: float  # the tau span of the successful rows, rounded to 10 decimals
     partial: bool
     failed_taus: tuple[float, ...]
+
+    @property
+    def coverage_label(self) -> str:
+        value = round(self.coverage * 100.0, 6)
+        if abs(value - round(value)) < 1e-9:
+            return f"{int(round(value))}%"
+        return f"{value:g}%"
 
     @property
     def alpha1_width(self) -> float:
@@ -534,7 +534,7 @@ def quantile_breakpoint_intervals(
         rows=rows,
         alpha1_interval=(float(a1.min()), float(a1.max())),
         alpha2_interval=(float(a2.min()), float(a2.max())),
-        coverage_label=_coverage_label(min(taus), max(taus)),
+        coverage=round(max(taus) - min(taus), 10),
         partial=bool(failed_taus),
         failed_taus=tuple(float(t) for t in failed_taus),
     )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .dataset import BivariateDataset
 from .piecewise import SegmentedModel, eval_segmented
-from .quantile import check_objective
 from .rng import RngSpec, standard_normal
 
 
@@ -62,22 +61,20 @@ class WedgeNoise:
 class SyntheticSpec:
     """Truth model, design, noise law, and seed for one synthetic dataset.
 
-    ``x_design`` is either the string ``"uniform"`` (n evenly spaced points
-    on [x_min, x_max]) or an explicit sequence of x values.
+    ``x_design`` is an explicit sequence of n x values; None means n evenly
+    spaced points on [x_min, x_max].
     """
 
     model: SegmentedModel
     n: int
     noise: Union[GaussianNoise, WedgeNoise]
     rng: RngSpec = field(default_factory=RngSpec)
-    x_design: Union[str, Sequence[float]] = "uniform"
+    x_design: Sequence[float] | None = None
     x_min: float = 0.0
     x_max: float = 1.0
 
     def design(self) -> np.ndarray:
-        if isinstance(self.x_design, str):
-            if self.x_design != "uniform":
-                raise SyntheticError(f"unknown design {self.x_design!r}")
+        if self.x_design is None:
             if self.n < 2:
                 raise SyntheticError("uniform design needs n >= 2")
             return np.linspace(self.x_min, self.x_max, self.n)
@@ -133,7 +130,8 @@ def quantile_oracle(design, ys, tau: float) -> float:
         if sign == 0 or not np.isfinite(logdet):
             continue
         b = np.linalg.solve(sub, y[list(subset)])
-        objective = check_objective(y - X @ b, tau)
+        u = y - X @ b
+        objective = float(np.sum(u * (tau - (u < 0))))
         if best is None or objective < best:
             best = objective
     if best is None:

@@ -45,7 +45,7 @@ def test_synth_plrm_round_trip_recovers_truth(tmp_path):
     csv_path = _synth(tmp_path, noise="gaussian:0")
     out = tmp_path / "plrm"
     code = main(
-        ["plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--out", str(out), "--format", "json"]
+        ["plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--out", str(out)]
     )
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -252,19 +252,61 @@ def test_partial_tau_rows_exit_4(tmp_path):
     assert summary["partial"] is True
 
 
-def test_format_restriction(tmp_path):
-    csv_path = _synth(tmp_path, noise="gaussian:0.3", seed=8, n=30)
-    out = tmp_path / "jsononly"
-    code = main(
-        [
-            "plrm", "--input", str(csv_path), "--x", "x", "--y", "y",
-            "--format", "json", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    names = {p.name for p in out.iterdir()}
-    assert "fit_report.json" in names and "summary.json" in names
-    assert not any(n.endswith(".csv") or n.endswith(".svg") for n in names)
+_PLRM_FILES = [
+    "band_gamma080.csv", "band_gamma095.csv", "figure_plrm.svg", "figure_plrm_geometry.csv",
+    "fit_report.json", "summary.json",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["synth"], ["dataset.csv", "dataset.json", "synth_config.json"]),
+        (
+            ["loess-band", "--bootstrap", "40"],
+            ["band_gamma080.csv", "band_gamma095.csv", "figure_loess_band.svg", "figure_loess_band_geometry.csv",
+             "summary.json"],
+        ),
+        (["plrm"], _PLRM_FILES),
+        (["plrm", "--band-method", "bootstrap", "--bootstrap", "40"], _PLRM_FILES),
+        (
+            ["pqrm", "--tau-grid", "0.1,0.5,0.9"],
+            ["band_gamma080.csv", "figure_pqrm.svg", "figure_pqrm_geometry.csv", "intervals.json", "summary.json",
+             "tau_table.csv"],
+        ),
+        (
+            ["compare", "--bootstrap", "20", "--tau-grid", "0.1,0.5,0.9"],
+            ["bl_band_gamma080.csv", "comparison.csv", "comparison.json", "figure_bl.svg", "figure_bl_geometry.csv",
+             "figure_plrm.svg", "figure_plrm_geometry.csv", "figure_pqrm.svg", "figure_pqrm_geometry.csv",
+             "plrm_band_gamma080.csv", "plrm_fit_report.json", "pqrm_band_gamma080.csv", "tau_table.csv"],
+        ),
+    ],
+    ids=["synth", "loess-band", "plrm", "plrm-bootstrap", "pqrm", "compare"],
+)
+def test_each_command_writes_its_full_artifact_set(tmp_path, argv, names):
+    out = tmp_path / "out"
+    data = [] if argv[0] == "synth" else ["--input", str(_synth(tmp_path, noise="gaussian:0.3", seed=8, n=30)),
+                                          "--x", "x", "--y", "y"]
+    assert main([*argv, *data, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+def test_compare_plrm_interval_uses_the_exact_tau_span(tmp_path):
+    """The PLRM breakpoint intervals of compare are taken at the PQRM tau
+    span itself, not at the span as read back from its rounded label."""
+    from breakline.dataset import load_dataset
+    from breakline.piecewise import breakpoint_intervals, fit_segmented
+
+    csv_path = _synth(tmp_path, noise="wedge:0.3,1.5", seed=2, n=40)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--input", str(csv_path), "--x", "x", "--y", "y", "--tau-grid", "0.1,0.25,0.4333333"]
+    assert main([*argv, "--bootstrap", "20", "--out", str(out)]) == 0
+    report = json.loads((out / "comparison.json").read_text())
+    assert report["coverage_label"] == "33.3333%"
+    expected = breakpoint_intervals(fit_segmented(load_dataset(str(csv_path), "x", "y")), 0.3333333)
+    for row in report["interval_rows"]:
+        plrm = row["methods"]["PLRM"]
+        assert (plrm["lower"], plrm["upper"]) == expected[row["breakpoint"]]
 
 
 def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
@@ -334,7 +376,6 @@ _DATASET_FLAGS = {
 }
 _COMMON_FLAGS = {
     "--out": (None, None, "output directory", {"required": True}),
-    "--format": (None, None, "comma list from json,csv,svg (default all)", {}),
     "--seed": (0, int, None, {}),
 }
 _LOESS_FLAGS = {
@@ -352,8 +393,6 @@ PARSER_TABLE = {
         "--n": (100, int, None, {}),
         "--x-range": ("0,1", None, None, {}),
         "--noise": ("gaussian:0.5", None, "gaussian:sigma | wedge:sigma0,c", {}),
-        "--x-name": ("x", None, None, {}),
-        "--y-name": ("y", None, None, {}),
         **_COMMON_FLAGS,
     },
     "loess-band": {
@@ -419,7 +458,7 @@ def test_written_areas_are_exact(tmp_path):
     from breakline.area import band_area_exact
 
     csv_path = _synth(tmp_path, noise="wedge:0.3,1.5", seed=2, n=40)
-    data = ["--input", str(csv_path), "--x", "x", "--y", "y", "--format", "json,csv"]
+    data = ["--input", str(csv_path), "--x", "x", "--y", "y"]
     runs = {
         "loess-band": ["--bootstrap", "40"],
         "plrm": ["--band-method", "bootstrap", "--bootstrap", "40"],

@@ -54,7 +54,7 @@ def test_tau_table_csv(tmp_path):
         rows=[(0.1, 0.2, 0.5), (0.5, 0.25, 0.55), (0.9, None, None)],
         alpha1_interval=(0.2, 0.25),
         alpha2_interval=(0.5, 0.55),
-        coverage_label="80%",
+        coverage=0.8,
         partial=True,
         failed_taus=(0.9,),
     )
