@@ -13,7 +13,6 @@ from .dataset import (
     BivariateDataset,
     DataError,
     TransformSpec,
-    dataset_to_json,
     load_dataset,
     summarize,
     write_dataset_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "compare_methods",
     "compute_area",
     "contrast_inference",
-    "dataset_to_json",
     "eval_segmented",
     "fit_loess",
     "fit_quantile_linear",

@@ -8,6 +8,7 @@ partial outputs are moved to ``<out>/quarantine/``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .dataset import (
     BivariateDataset,
     DataError,
     TransformSpec,
-    dataset_to_json,
     load_dataset,
     summarize,
     write_dataset_csv,
@@ -142,8 +142,8 @@ def _area_and_emit(out: _Outputs, bands) -> dict[str, float]:
     return {f"{b.gamma:g}": b.area for b in bands}
 
 
-def _emit_figure(out: _Outputs, name: str, ds, bands, curves=None, ticks=None, title="") -> None:
-    write_svg_figure(out.path(f"{name}.svg"), ds, bands, curves=curves, breakpoint_ticks=ticks, title=title)
+def _emit_figure(out: _Outputs, name: str, ds, bands, curves=None, ticks=None) -> None:
+    write_svg_figure(out.path(f"{name}.svg"), ds, bands, curves=curves, breakpoint_ticks=ticks)
     elements = []
     for band in bands:
         elements.append(("center", band.method or "center", band.grid_x, band.center))
@@ -175,7 +175,6 @@ def cmd_synth(args, out: _Outputs) -> int:
     )
     ds = generate(spec)
     write_dataset_csv(out.path("dataset.csv"), ds)
-    out.path("dataset.json").write_text(dataset_to_json(ds), encoding="utf-8")
     write_json(
         out.path("synth_config.json"),
         {
@@ -205,7 +204,7 @@ def cmd_loess_band(args, out: _Outputs) -> int:
             "dataset_summary": _summary_rows(ds),
         },
     )
-    _emit_figure(out, "figure_loess_band", ds, bands, title="loess with bootstrap prediction bands")
+    _emit_figure(out, "figure_loess_band", ds, bands)
     return 0
 
 
@@ -228,8 +227,7 @@ def cmd_plrm(args, out: _Outputs) -> int:
     bands = plrm_prediction_band(fit, ds, gammas, args.bootstrap, args.seed, force_bootstrap)
     areas = _area_and_emit(out, bands)
     ci95 = breakpoint_intervals(fit, 0.95)
-    title = "piecewise linear fit with prediction bands"
-    _emit_figure(out, "figure_plrm", ds, bands, ticks=list(ci95.values()), title=title)
+    _emit_figure(out, "figure_plrm", ds, bands, ticks=list(ci95.values()))
     write_json(
         out.path("summary.json"),
         {
@@ -245,8 +243,8 @@ def cmd_plrm(args, out: _Outputs) -> int:
 
 
 def _pqrm_pieces(ds, taus, gamma, min_seg_points):
-    """Shared by pqrm and compare: grid fits, interval table, band (None if
-    a band tau failed) and whether any tau failed.
+    """Shared by pqrm and compare: the sweep's fits, interval table, band
+    (None if a band tau failed) and whether any tau failed.
 
     The band's taus are fitted in the grid's lockstep sweep; the interval
     table uses the grid's taus only."""
@@ -259,14 +257,14 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
         raise QuantileError(f"too few successful tau fits ({len(fits)}) to build intervals")
     table = quantile_breakpoint_intervals(fits, failed_taus=[float(t) for t in taus if t in failed])
     band = None if any(t in failed for t in band_taus) else pqrm_prediction_band(sweep, gamma, ds)
-    return fits, table, band, bool(failed)
+    return sweep, table, band, bool(failed)
 
 
 def cmd_pqrm(args, out: _Outputs) -> int:
     ds = _load(args)
     taus = _taus(args)
     (gamma,) = _gammas(args, (0.80,))
-    fits, table, band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
+    sweep, table, band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
     write_tau_table_csv(out.path("tau_table.csv"), table)
     write_json(
         out.path("intervals.json"),
@@ -282,12 +280,10 @@ def cmd_pqrm(args, out: _Outputs) -> int:
     )
     bands = [] if band is None else [band]
     _area_and_emit(out, bands)
-    curves = [
-        (f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs))
-        for fit in fits
-        if round(fit.tau, 10) in pqrm_band_taus(gamma)
-    ]
-    _emit_figure(out, "figure_pqrm", ds, bands, curves=curves, title="piecewise quantile fits")
+    # the sweep holds every band tau as pqrm_band_taus gives it
+    curves = [(f"tau={fit.tau:g}", ds.xs, eval_segmented(fit.model, ds.xs)) for fit in sweep
+              if fit.tau in pqrm_band_taus(gamma)]
+    _emit_figure(out, "figure_pqrm", ds, bands, curves=curves)
     write_json(
         out.path("summary.json"),
         {
@@ -327,10 +323,10 @@ def cmd_compare(args, out: _Outputs) -> int:
     write_tau_table_csv(out.path("tau_table.csv"), table)
     for name, band in bands.items():
         _emit_band(out, band, prefix=f"{name.lower()}_")
-    _emit_figure(out, "figure_bl", ds, [bl_band], title="bootstrapped loess band")
+    _emit_figure(out, "figure_bl", ds, [bl_band])
     ticks = list(breakpoint_intervals(ls_fit, 0.95).values())
-    _emit_figure(out, "figure_plrm", ds, [pl_band], ticks=ticks, title="piecewise linear band")
-    _emit_figure(out, "figure_pqrm", ds, [pq_band], title="piecewise quantile band")
+    _emit_figure(out, "figure_plrm", ds, [pl_band], ticks=ticks)
+    _emit_figure(out, "figure_pqrm", ds, [pq_band])
     return 4 if partial else 0
 
 
@@ -424,8 +420,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a comma list led by a negative number, which argparse takes for an option
+_NEGATIVE_LIST = re.compile(r"-[0-9.][^,]*,")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """``--flag -1,2`` as ``--flag=-1,2``, so that argparse reads it as the value."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _NEGATIVE_LIST.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        RngSpec(args.seed)
+    except ValueError as exc:
+        parser.error(f"argument --seed: {exc}")
     out = _Outputs(args.out)
     try:
         return args.func(args, out)

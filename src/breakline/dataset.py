@@ -8,7 +8,6 @@ type and may share instances across workers.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,11 +65,6 @@ class TransformSpec:
             return cls(kind="affine", a=a, b=b)
         raise DataError(f"cannot parse transform {text!r}")
 
-    def to_jsonable(self) -> dict:
-        if self.kind == "affine":
-            return {"kind": "affine", "a": self.a, "b": self.b}
-        return {"kind": self.kind}
-
 
 IDENTITY = TransformSpec()
 
@@ -87,8 +81,6 @@ class BivariateDataset:
     labels: tuple | None
     x_name: str
     y_name: str
-    x_transform: TransformSpec
-    y_transform: TransformSpec
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -120,14 +112,8 @@ class BivariateDataset:
         labels: Sequence[str] | None = None,
         x_name: str = "x",
         y_name: str = "y",
-        x_transform: TransformSpec = IDENTITY,
-        y_transform: TransformSpec = IDENTITY,
     ) -> "BivariateDataset":
-        """Build a dataset from already-transformed values, sorting by x.
-
-        The transforms are recorded as metadata only; they are not applied
-        here (``load_dataset`` applies them before calling this).
-        """
+        """Build a dataset from already-transformed values, sorting by x."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1 or xs.shape != ys.shape:
@@ -145,8 +131,6 @@ class BivariateDataset:
             labels=sorted_labels,
             x_name=x_name,
             y_name=y_name,
-            x_transform=x_transform,
-            y_transform=y_transform,
         )
 
 
@@ -169,7 +153,7 @@ def load_dataset(
     label_column : str, optional
         Per-point group tag column (site / region).
     x_transform, y_transform : TransformSpec
-        Applied to the raw columns before sorting; recorded in the result.
+        Applied to the raw columns before sorting.
 
     Raises
     ------
@@ -218,33 +202,7 @@ def load_dataset(
         labels=labels if label_column else None,
         x_name=x_column,
         y_name=y_column,
-        x_transform=x_transform,
-        y_transform=y_transform,
     )
-
-
-def dataset_to_json(ds: BivariateDataset) -> str:
-    """Serialize to the JSON echo format.
-
-    ``{x_name, y_name, transforms, points: [{x, y, label}]}``; point values
-    are the stored (already transformed) numbers.
-    """
-    points = []
-    for i in range(ds.n):
-        points.append(
-            {
-                "x": float(ds.xs[i]),
-                "y": float(ds.ys[i]),
-                "label": None if ds.labels is None else ds.labels[i],
-            }
-        )
-    doc = {
-        "x_name": ds.x_name,
-        "y_name": ds.y_name,
-        "transforms": {"x": ds.x_transform.to_jsonable(), "y": ds.y_transform.to_jsonable()},
-        "points": points,
-    }
-    return json.dumps(doc, indent=2)
 
 
 def write_dataset_csv(path, ds: BivariateDataset) -> None:

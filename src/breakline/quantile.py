@@ -52,8 +52,7 @@ DEFAULT_TAU_GRID = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
 
 _PIVOT_BUDGET = 2000
 _BLAND_AFTER = 400
-# the local refinement: rounds, and points per breakpoint in each round's grid
-_REFINE_ROUNDS = 1
+# points per breakpoint in the grid of the local refinement
 _REFINE_POINTS = 9
 
 
@@ -329,7 +328,6 @@ class QuantileSegmentedFit:
     objective: float
     status: str
     residuals: np.ndarray
-    n: int
 
 
 def fit_segmented_quantile(ds: BivariateDataset, tau: float, min_segment_points: int = 3) -> QuantileSegmentedFit:
@@ -419,20 +417,14 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
         if best[k] is None:
             out[k] = QuantileError(f"quantile fit failed at every candidate breakpoint pair (tau={taus[k]})")
             continue
-        for _ in range(_REFINE_ROUNDS):
-            _, a1_c, a2_c, _ = best[k]
-            i_c = int(np.searchsorted(mids, a1_c))
-            j_c = int(np.searchsorted(mids, a2_c))
-            lo1 = mids[max(i_c - 1, 0)]
-            hi1 = mids[min(i_c + 1, m - 1)]
-            lo2 = mids[max(j_c - 1, 0)]
-            hi2 = mids[min(j_c + 1, m - 1)]
-            grid1 = np.linspace(min(lo1, a1_c), max(hi1, a1_c), _REFINE_POINTS)
-            grid2 = np.linspace(min(lo2, a2_c), max(hi2, a2_c), _REFINE_POINTS)
-            for a1 in grid1:
-                for a2 in grid2:
-                    if _pair_admissible(u, admissible, a1, a2):
-                        try_pair(float(a1), float(a2), np.array([k]))
+        # the incumbent is a grid pair; refine between its neighboring midpoints
+        i_c, j_c = np.searchsorted(mids, best[k][1:3]).tolist()
+        grid1 = np.linspace(mids[max(i_c - 1, 0)], mids[min(i_c + 1, m - 1)], _REFINE_POINTS)
+        grid2 = np.linspace(mids[max(j_c - 1, 0)], mids[min(j_c + 1, m - 1)], _REFINE_POINTS)
+        for a1 in grid1:
+            for a2 in grid2:
+                if _pair_admissible(u, admissible, a1, a2):
+                    try_pair(float(a1), float(a2), np.array([k]))
         objective, a1, a2, beta = best[k]
         out[k] = QuantileSegmentedFit(
             tau=float(taus[k]),
@@ -440,7 +432,6 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
             objective=objective,
             status="optimal" if failures[k] == 0 else "grid-fallback",
             residuals=ys - segmented_design(xs, a1, a2) @ beta,
-            n=ds.n,
         )
     return out
 

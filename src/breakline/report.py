@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import html
 import json
 
 import numpy as np
@@ -20,6 +21,11 @@ from .quantile import QuantileBreakpointTable
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _text(value: str) -> str:
+    """``value`` as XML text: ``&``, ``<`` and ``>`` escaped."""
+    return html.escape(value, quote=False)
 
 
 def write_json(path, obj) -> None:
@@ -125,13 +131,13 @@ def write_svg_figure(
     bands: list[PredictionBand],
     curves=None,
     breakpoint_ticks=None,
-    title: str = "",
 ) -> None:
     """Scatter plus fitted curve(s) and shaded band(s), emitted as raw SVG.
 
     ``breakpoint_ticks`` draws solid interval segments along the x axis
     (used for the breakpoint confidence intervals of the piecewise fit).
-    No plotting framework, no timestamps: geometry only.
+    No plotting framework, no timestamps: geometry only.  Axis names, point
+    labels and curve names are written as escaped XML text.
     """
     width, height = 800.0, 600.0
     margin = 70.0
@@ -170,7 +176,7 @@ def write_svg_figure(
     for k, (name, xs, ys) in enumerate(curves):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(xs), sy(ys)))
         color = palette[k % len(palette)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"><title>{name}</title></polyline>')
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"><title>{_text(name)}</title></polyline>')
     point_palette = ["#333333", "#e07b39", "#5a7d2a", "#7a4fa3", "#b03a5b"]
     label_colors = {}
     if ds.labels is not None:
@@ -179,7 +185,7 @@ def write_svg_figure(
                 label_colors[lab] = point_palette[len(label_colors) % len(point_palette)]
     for i in range(ds.n):
         color = label_colors[ds.labels[i]] if ds.labels is not None else point_palette[0]
-        title = f"<title>{ds.labels[i]}</title>" if ds.labels is not None else ""
+        title = f"<title>{_text(ds.labels[i])}</title>" if ds.labels is not None else ""
         parts.append(
             f'<circle cx="{float(sx(ds.xs[i])):.2f}" cy="{float(sy(ds.ys[i])):.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.8">{title}</circle>'
@@ -208,14 +214,12 @@ def write_svg_figure(
         parts.append(f'<line x1="{margin - 6:g}" y1="{y:.2f}" x2="{margin:g}" y2="{y:.2f}" stroke="black"/>')
         parts.append(f'<text x="{margin - 10:g}" y="{y + 4:.2f}" font-size="12" text-anchor="end">{v:.4g}</text>')
     parts.append(
-        f'<text x="{width / 2:g}" y="{height - 12:g}" font-size="14" text-anchor="middle">{ds.x_name}</text>'
+        f'<text x="{width / 2:g}" y="{height - 12:g}" font-size="14" text-anchor="middle">{_text(ds.x_name)}</text>'
     )
     parts.append(
         f'<text x="18" y="{height / 2:g}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:g})">{ds.y_name}</text>'
+        f'transform="rotate(-90 18 {height / 2:g})">{_text(ds.y_name)}</text>'
     )
-    if title:
-        parts.append(f'<text x="{width / 2:g}" y="28" font-size="16" text-anchor="middle">{title}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(parts) + "\n")

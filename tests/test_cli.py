@@ -37,8 +37,6 @@ def test_synth_writes_dataset(tmp_path):
     rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 40
     assert set(rows[0]) == {"x", "y"}
-    echo = json.loads((csv_path.parent / "dataset.json").read_text())
-    assert len(echo["points"]) == 40
 
 
 def test_synth_plrm_round_trip_recovers_truth(tmp_path):
@@ -261,7 +259,7 @@ _PLRM_FILES = [
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["synth"], ["dataset.csv", "dataset.json", "synth_config.json"]),
+        (["synth"], ["dataset.csv", "synth_config.json"]),
         (
             ["loess-band", "--bootstrap", "40"],
             ["band_gamma080.csv", "band_gamma095.csv", "figure_loess_band.svg", "figure_loess_band_geometry.csv",
@@ -483,3 +481,80 @@ def test_written_areas_are_exact(tmp_path):
         else:
             assert set(by_gamma) == {"0.8", "0.95"}
             assert json.loads((out / "summary.json").read_text())["areas"] == by_gamma
+
+
+_SEEDED_COMMANDS = [
+    ["synth"],
+    ["loess-band", "--bootstrap", "40"],
+    ["plrm"],
+    ["pqrm", "--tau-grid", "0.1,0.5,0.9"],
+    ["compare", "--bootstrap", "20", "--tau-grid", "0.1,0.5,0.9"],
+]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", _SEEDED_COMMANDS, ids=[a[0] for a in _SEEDED_COMMANDS])
+def test_out_of_range_seed_is_exit_2(tmp_path, capsys, argv, seed):
+    """Every command refuses a seed outside [0, 2**64) as a bad flag value,
+    the parametric plrm path (which draws nothing) included."""
+    data = [] if argv[0] == "synth" else ["--input", str(_synth(tmp_path, noise="gaussian:0.3", seed=8, n=30)),
+                                          "--x", "x", "--y", "y"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *data, "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_svg_escapes_names_and_labels(tmp_path):
+    """Column names and labels holding markup characters give well-formed
+    SVG whose titles and axis text read back unchanged."""
+    import xml.etree.ElementTree as ET
+
+    rows = list(csv.DictReader(_synth(tmp_path, noise="gaussian:0.4", seed=4, n=40).read_text().splitlines()))
+    path = tmp_path / "marked.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["TP<10 & more", "y", "site"])
+        for i, row in enumerate(rows):
+            writer.writerow([row["x"], row["y"], "A&B" if i % 2 else "C<D"])
+    out = tmp_path / "plrm"
+    argv = ["plrm", "--input", str(path), "--x", "TP<10 & more", "--y", "y", "--label", "site", "--out", str(out)]
+    assert main(argv) == 0
+    root = ET.parse(out / "figure_plrm.svg").getroot()
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    assert {t.text for t in root.iterfind("svg:circle/svg:title", ns)} == {"A&B", "C<D"}
+    assert "TP<10 & more" in [t.text for t in root.iterfind("svg:text", ns)]
+    # labels title the points only
+    assert root.find("svg:text/svg:title", ns) is None
+
+
+def test_pqrm_figure_draws_the_band_curves_off_the_grid(tmp_path):
+    """The figure draws the fits at the band's taus even when the tau grid
+    lacks them, and each curve is the band's matching edge or centre."""
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=6, n=40)
+    out = tmp_path / "pqrm"
+    argv = ["pqrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--tau-grid", "0.2,0.5,0.8"]
+    assert main([*argv, "--out", str(out)]) == 0
+    curves = {}
+    for row in csv.DictReader((out / "figure_pqrm_geometry.csv").read_text().splitlines()):
+        if row["element"] == "curve":
+            curves.setdefault(row["series"], []).append(float(row["y"]))
+    assert sorted(curves) == ["tau=0.1", "tau=0.5", "tau=0.9"]
+    band = list(csv.DictReader((out / "band_gamma080.csv").read_text().splitlines()[1:]))
+    for series, column in (("tau=0.1", "lower"), ("tau=0.5", "center"), ("tau=0.9", "upper")):
+        assert curves[series] == [float(r[column]) for r in band]
+
+
+def test_comma_list_led_by_a_negative_value(tmp_path):
+    """``--flag -1,2`` reads as ``--flag=-1,2``."""
+    written = []
+    for name, lists in (
+        ("spaced", ["--x-range", "-1,2", "--truth-beta", "-2,0,-5,5"]),
+        ("joined", ["--x-range=-1,2", "--truth-beta=-2,0,-5,5"]),
+    ):
+        out = tmp_path / name
+        assert main(["synth", "--n", "30", "--truth-alpha", "0.2,1.1", *lists, "--seed", "3", "--out", str(out)]) == 0
+        written.append((out / "dataset.csv").read_bytes())
+    assert written[0] == written[1]

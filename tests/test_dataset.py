@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from breakline.dataset import (
     BivariateDataset,
     DataError,
     TransformSpec,
-    dataset_to_json,
     load_dataset,
     summarize,
     write_dataset_csv,
@@ -151,30 +149,6 @@ def test_summarize_needs_two_points():
         summarize(ds)
 
 
-def test_json_round_trip_idempotent(tmp_path):
-    p = tmp_path / "d.csv"
-    _write_csv(
-        p,
-        ["raw", "ibi", "site"],
-        [[-1.5634, 35.0, "north"], [1.6733, 80.0, "south"], [0.1, 50.0, "north"]],
-    )
-    def load():
-        return load_dataset(
-            p,
-            "raw",
-            "ibi",
-            label_column="site",
-            x_transform=TransformSpec(kind="affine", a=0.341774, b=0.196037),
-        )
-
-    ds = load()
-    text = dataset_to_json(ds)
-    # the writer is deterministic: a second load echoes byte-identically
-    assert dataset_to_json(load()) == text
-    # and it echoes the stored, already transformed values
-    assert [pt["x"] for pt in json.loads(text)["points"]] == ds.xs.tolist()
-
-
 def test_csv_round_trip(tmp_path):
     ds = BivariateDataset.from_arrays([0.25, 0.75], [1.5, 2.5], labels=["a", "b"])
     out = tmp_path / "echo.csv"
@@ -183,7 +157,6 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(ds2.xs, ds.xs) and np.array_equal(ds2.ys, ds.ys)
     assert ds2.labels == ds.labels
     assert (ds2.x_name, ds2.y_name) == (ds.x_name, ds.y_name)
-    assert (ds2.x_transform, ds2.y_transform) == (ds.x_transform, ds.y_transform)
 
 
 def test_transform_parse():

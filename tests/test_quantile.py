@@ -153,13 +153,19 @@ def test_extreme_tau_refused():
         fit_segmented_quantile(ds, 0.96)
 
 
-def test_refinement_never_worsens_objective(monkeypatch):
+def test_refinement_never_worsens_objective():
+    """The refined fit is at or below the best candidate-grid pair, each
+    pair solved alone."""
     ds = _grid_dataset(n=31, sigma=0.6, seed=7)
-    monkeypatch.setattr(quantile_module, "_REFINE_ROUNDS", 0)
-    coarse = fit_segmented_quantile(ds, 0.3)
-    monkeypatch.setattr(quantile_module, "_REFINE_ROUNDS", 2)
-    refined = fit_segmented_quantile(ds, 0.3)
-    assert refined.objective <= coarse.objective + 1e-12
+    tau = 0.3
+    refined = fit_segmented_quantile(ds, tau)
+    u, _, admissible = _segment_cells(ds.xs, 3)
+    mids = (u[:-1] + u[1:]) / 2.0
+    coarse = np.inf
+    for i, j in zip(*np.nonzero(admissible)):
+        X = segmented_design(ds.xs, mids[i], mids[j])
+        coarse = min(coarse, check_objective(ds.ys - X @ fit_quantile_linear(X, ds.ys, tau), tau))
+    assert refined.objective <= coarse + 1e-12
 
 
 def test_median_fit_consistent_with_least_squares():
@@ -188,7 +194,7 @@ def test_median_fit_consistent_with_least_squares():
 def _dummy_fit(tau, a1, a2):
     model = SegmentedModel(beta=(0.0, 0.0, 0.0, 0.0), alpha=(a1, a2))
     return QuantileSegmentedFit(
-        tau=tau, model=model, objective=0.0, status="optimal", residuals=np.zeros(1), n=1
+        tau=tau, model=model, objective=0.0, status="optimal", residuals=np.zeros(1)
     )
 
 
