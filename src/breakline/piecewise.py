@@ -238,10 +238,10 @@ def _design_profile(xs: np.ndarray, min_segment_points: int) -> _BreakpointProfi
     return profile
 
 
-def _least_squares(profile: _BreakpointProfile, xs: np.ndarray, ys: np.ndarray):
+def _least_squares(profile: _BreakpointProfile, work: _Workspace, xs: np.ndarray, ys: np.ndarray):
     """The exact least-squares model of one response on the profile's
     design: ``(model, beta, rss)``, from one conditional solve at the pair."""
-    a1, a2 = profile.least_squares_pair(profile.response(ys))
+    a1, a2 = profile.least_squares_pair(profile.response(ys), work)
     beta, rss = profile_inner_ols(xs, ys, a1, a2)
     return SegmentedModel(beta=tuple(float(b) for b in beta), alpha=(a1, a2)), beta, rss
 
@@ -267,7 +267,7 @@ def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> Segmente
     n = ds.n
     xs, ys = ds.xs, ds.ys
     profile = _design_profile(xs, min_segment_points)
-    model, beta, rss = _least_squares(profile, xs, ys)
+    model, beta, rss = _least_squares(profile, profile.workspace(), xs, ys)
     theta_best = np.concatenate([beta, model.alpha])
 
     df = n - 6
@@ -357,13 +357,13 @@ class _Lines:
 class _Partners:
     """The part of :meth:`_BreakpointProfile.rss` that depends on x alone, for
     standardised positions ``t`` of breakpoint ``which`` (0 or 1, per point)
-    lying in cells ``cell``: the partner cells admissible with each, and the
-    base and partner-hinge cross products partialled through the base Gram
-    matrix of each distinct position."""
+    lying in cells ``cell``: the partner cells not admissible with each, and
+    the base and partner-hinge cross products partialled through the base
+    Gram matrix of each distinct position."""
 
     def __init__(self, profile: "_BreakpointProfile", which, t, cell):
         cell = np.asarray(cell)
-        self.partners = np.where(
+        self.blocked = ~np.where(
             np.asarray(which)[:, None] == 0, profile.admissible[cell, :], profile.admissible[:, cell].T
         )
         # (x - t)+ is the same column whichever side of t a point at t is
@@ -405,17 +405,36 @@ class _Partners:
         m22 = k0 - (cross_1[0] * h1[0] + cross_1[1] * h1[1] + cross_1[2] * h1[2])
         self.hx, self.h1, self.m11, self.m12, self.m22 = hx, h1, m11, m12, m22
 
-        # the denominators of the RSS reductions below: along the partner
-        # hinge at each cell edge s, and of the interior stationary point
+        # the denominators of the RSS reductions below, and where each is too
+        # small to use: along the partner hinge at each cell edge s, and of
+        # the interior stationary point
         def quad(s, raw):
             q = m11 - 2.0 * s * m12 + s * s * m22
-            return q, q > 1e-12 * raw
+            return q, ~(q > 1e-12 * raw)
 
         self.lo, self.hi = profile.u[:-1], profile.u[1:]
-        self.quad_lo, self.ok_lo = quad(self.lo, k2 - 2.0 * self.lo * k1 + self.lo * self.lo * k0)
-        self.quad_hi, self.ok_hi = quad(self.hi, k2 - 2.0 * self.hi * k1 + self.hi * self.hi * k0)
+        self.quad_lo, self.off_lo = quad(self.lo, k2 - 2.0 * self.lo * k1 + self.lo * self.lo * k0)
+        self.quad_hi, self.off_hi = quad(self.hi, k2 - 2.0 * self.hi * k1 + self.hi * self.hi * k0)
         self.det = m11 * m22 - m12 * m12
         self.det_ok = self.det > 1e-12 * m11 * m22
+
+
+class _Workspace:
+    """Scratch arrays for the response half of
+    :meth:`_BreakpointProfile._partner_rss` on one :class:`_Partners`: grids
+    over (distinct positions x partner cells), and the gains expanded to
+    (rows x partner cells).  A call overwrites them all, and
+    :meth:`_BreakpointProfile._tie_partners` reads that call's gains back,
+    so a workspace serves one response at a time, in one thread."""
+
+    def __init__(self, P: _Partners):
+        rows, cells = P.blocked.shape
+        grid = (P.t.size, cells)
+        self.v1, self.v2, self.a, self.b, self.s_star, self.gain_lo, self.gain_in, self.gain_hi = np.empty(
+            (8, *grid)
+        )
+        self.inside, self.below_hi = np.empty((2, *grid), dtype=bool)
+        self.cell_gain = np.empty((rows, cells))
 
 
 class _BreakpointProfile:
@@ -447,9 +466,11 @@ class _BreakpointProfile:
 
     An instance holds the work that depends on x alone (the x power sums,
     the cells, and, built on first use, the partner products at every cell
-    edge and the x sums of every three-line split), so one instance serves
-    every response on the same design; a response enters through
-    :meth:`response`.
+    edge and the x sums of every three-line split) and nothing of any
+    response, so one instance serves every response on the same design.  A
+    response enters through :meth:`response`, and the search writes its
+    grids into a :class:`_Workspace` (:meth:`workspace`), which is reused
+    from one response to the next.
     """
 
     def __init__(self, xs: np.ndarray, min_pts: int):
@@ -480,64 +501,81 @@ class _BreakpointProfile:
         cells = self.cells(which)
         return np.repeat(cells, 2), np.column_stack([cells, cells + 1]).ravel()
 
-    def rss(self, y: _ResponseSums, which, t, cell):
+    def rss(self, y: _ResponseSums, which, t, cell) -> np.ndarray:
         """Profile RSS of response ``y`` at standardised positions ``t`` of
-        breakpoint ``which`` (0 or 1, per point) lying in cells ``cell``, and
-        the position in x units of the partner breakpoint that attains it:
-        the smallest one whose RSS is within ``y.tie`` of the minimum.  The
-        RSS is +inf and the partner NaN where no admissible partner gives a
-        non-singular inner problem."""
-        return self._partner_rss(y, _Partners(self, which, t, cell))
+        breakpoint ``which`` (0 or 1, per point) lying in cells ``cell``:
+        the least RSS over every admissible position of the partner
+        breakpoint, +inf where no admissible partner gives a non-singular
+        inner problem."""
+        P = _Partners(self, which, t, cell)
+        return self._partner_rss(y, P, _Workspace(P))
 
-    def _partner_rss(self, y: _ResponseSums, P: _Partners):
+    def _partner_rss(self, y: _ResponseSums, P: _Partners, work: _Workspace) -> np.ndarray:
         t, p, back = P.t, P.p, P.back
         w = np.stack([np.full(t.size, y.Sy), np.full(t.size, y.Sxy), y.sufxy[p] - t * y.sufy[p]], axis=1)
         rss_base = y.Syy - np.einsum("ei,eij,ej->e", w, P.G_inv, w)
-        qk, hx, h1 = self.q, P.hx, P.h1
         wc = [w[:, i, None] for i in range(3)]
-        v1 = y.sufxy[qk] - (wc[0] * hx[0] + wc[1] * hx[1] + wc[2] * hx[2])
-        v2 = y.sufy[qk] - (wc[0] * h1[0] + wc[1] * h1[1] + wc[2] * h1[2])
+        v1, v2, a, b, s_star = work.v1, work.v2, work.a, work.b, work.s_star
+        np.subtract(y.sufxy[self.q], _dot3(wc, P.hx, v1, a), out=v1)
+        np.subtract(y.sufy[self.q], _dot3(wc, P.h1, v2, a), out=v2)
 
         # RSS reduction (v.dir)^2 / (dir' M dir) along dir = (1, -s): the
         # partner hinge at s; at the two cell edges, and at the interior
         # stationary point when it falls inside the cell
-        def edge_gain(s, quad, ok):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = (v1 - s * v2) ** 2 / quad
-            return np.where(ok, gain, -np.inf)
-
-        m11, m12, m22, lo, hi = P.m11, P.m12, P.m22, P.lo, P.hi
+        m11, m12, m22, full = P.m11, P.m12, P.m22, work.gain_in
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = m22 * v1 - m12 * v2
-            h = m11 * v2 - m12 * v1
-            s_star = -h / g
-            full = (m22 * v1 * v1 - 2.0 * m12 * v1 * v2 + m11 * v2 * v2) / P.det
-        inside = P.det_ok & (lo <= s_star) & (s_star <= hi)
+            edges = ((P.lo, P.quad_lo, P.off_lo, work.gain_lo), (P.hi, P.quad_hi, P.off_hi, work.gain_hi))
+            for s, quad, off, gain in edges:
+                np.subtract(v1, np.multiply(s, v2, out=gain), out=gain)
+                np.divide(np.square(gain, out=gain), quad, out=gain)
+                np.copyto(gain, -np.inf, where=off)
+            g = np.subtract(np.multiply(m22, v1, out=a), np.multiply(m12, v2, out=b), out=a)
+            h = np.subtract(np.multiply(m11, v2, out=s_star), np.multiply(m12, v1, out=b), out=s_star)
+            np.divide(np.negative(h, out=s_star), g, out=s_star)
+            # (m22 v1 v1 - 2 m12 v1 v2 + m11 v2 v2) / det, left to right
+            np.multiply(np.multiply(m22, v1, out=full), v1, out=full)
+            cross = np.multiply(np.multiply(np.multiply(2.0, m12, out=a), v1, out=a), v2, out=a)
+            np.subtract(full, cross, out=full)
+            np.add(full, np.multiply(np.multiply(m11, v2, out=a), v2, out=a), out=full)
+            np.divide(full, P.det, out=full)
+        inside, below_hi = work.inside, work.below_hi
+        np.logical_and(P.det_ok, np.less_equal(P.lo, s_star, out=inside), out=inside)
+        np.logical_and(inside, np.less_equal(s_star, P.hi, out=below_hi), out=inside)
+        np.copyto(full, -np.inf, where=np.logical_not(inside, out=inside))
         # per partner cell, in increasing position: low edge, interior, high edge
-        gain = (
-            edge_gain(lo, P.quad_lo, P.ok_lo),
-            np.where(inside, full, -np.inf),
-            edge_gain(hi, P.quad_hi, P.ok_hi),
-        )
-        cell_gain = np.where(P.partners, np.maximum(np.maximum(gain[0], gain[1]), gain[2])[back], -np.inf)
+        cell_best = np.maximum(np.maximum(work.gain_lo, full, out=a), work.gain_hi, out=a)
+        # mode="clip" writes straight into out (the default mode buffers it)
+        cell_gain = np.take(cell_best, back, axis=0, out=work.cell_gain, mode="clip")
+        np.copyto(cell_gain, -np.inf, where=P.blocked)
         best = cell_gain.max(axis=1)
-        tied = (best - y.tie)[:, None]
+        ok = P.base_ok[back] & np.isfinite(best)
+        return np.where(ok, np.maximum(rss_base[back] - best, 0.0), np.inf)
+
+    def _tie_partners(self, y: _ResponseSums, P: _Partners, work: _Workspace, rows) -> np.ndarray:
+        """Positions in x units of the partner breakpoint that attains the
+        profile at rows ``rows`` of ``P``, from the gains the last
+        :meth:`_partner_rss` call left in ``work``: the smallest position
+        whose RSS is within ``y.tie`` of the row's least RSS.  Each row must
+        have a finite profile RSS."""
+        cell_gain = work.cell_gain[rows]
+        tied = (cell_gain.max(axis=1) - y.tie)[:, None]
         k = np.argmax(cell_gain >= tied, axis=1)
-        spot = np.argmax(np.stack([g[back, k] for g in gain], axis=1) >= tied, axis=1)
-        partner = np.where(
+        c = P.back[rows]
+        gains = np.stack([gain[c, k] for gain in (work.gain_lo, work.gain_in, work.gain_hi)], axis=1)
+        spot = np.argmax(gains >= tied, axis=1)
+        return np.where(
             spot == 0,
             self.u_orig[k],
-            np.where(spot == 2, self.u_orig[k + 1], self.x0 + self.span * s_star[back, k]),
+            np.where(spot == 2, self.u_orig[k + 1], self.x0 + self.span * work.s_star[c, k]),
         )
-        ok = P.base_ok[back] & np.isfinite(best)
-        return np.where(ok, np.maximum(rss_base[back] - best, 0.0), np.inf), np.where(ok, partner, np.nan)
 
-    def _interior_pairs(self, y: _ResponseSums):
+    def _interior_pairs(self, y: _ResponseSums, rss_max: float):
         """Breakpoint pairs strictly inside an admissible pair of cells
-        ``(j, k)``: where the separate least-squares lines through the points
-        at or below ``u_j``, between the two cells and at or above ``u_k+1``
-        meet inside cells j and k.  Returns ``(a1, a2, rss)`` with the
-        positions standardised."""
+        ``(j, k)`` with RSS at most ``rss_max``: where the separate
+        least-squares lines through the points at or below ``u_j``, between
+        the two cells and at or above ``u_k+1`` meet inside cells j and k,
+        the three-line RSS being the pair's RSS.  Returns ``(a1, a2, rss)``
+        with the positions standardised."""
         u = self.u
         if self._splits is None:
             p = np.concatenate([[0], self.q])
@@ -556,44 +594,71 @@ class _BreakpointProfile:
             self._splits = p, j, k, lines
         # the three lines of each admissible split (j, k)
         p, j, k, (lines1, lines2, lines3) = self._splits
-        sums = np.stack([y.sufy[p], y.sufxy[p]])
-        total, tail = sums[:, :1], sums[:, 1:]
-        m1, c1, e1 = lines1.fit(*(total - tail))
-        m2, c2, e2 = lines2.fit(*(tail[:, j] - tail[:, k]))
-        m3, c3, e3 = lines3.fit(*tail)
+        sy, sxy = y.sufy[p], y.sufxy[p]
+        tail_y, tail_xy = sy[1:], sxy[1:]
+        m1, c1, e1 = lines1.fit(sy[0] - tail_y, sxy[0] - tail_xy)
+        m2, c2, e2 = lines2.fit(tail_y[j] - tail_y[k], tail_xy[j] - tail_xy[k])
+        m3, c3, e3 = lines3.fit(tail_y, tail_xy)
+        rss = y.Syy - (e1[j] + e2 + e3[k])
+        near = np.nonzero(rss <= rss_max)[0]
+        j, k, m2, c2, rss = j[near], k[near], m2[near], c2[near], rss[near]
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (c2 - c1[j]) / (m1[j] - m2)
             t2 = (c3[k] - c2) / (m2 - m3[k])
         lo, hi = u[:-1], u[1:]
         ok = (lo[j] < t1) & (t1 < hi[j]) & (lo[k] < t2) & (t2 < hi[k])
-        return t1[ok], t2[ok], y.Syy - (e1[j[ok]] + e2[ok] + e3[k[ok]])
+        return t1[ok], t2[ok], rss[ok]
 
-    def least_squares_pair(self, y: _ResponseSums) -> tuple[float, float]:
-        """The admissible breakpoint pair of least RSS for response ``y``, in
-        x units.
-
-        Candidates are the interior three-line fits of every admissible cell
-        pair, and each breakpoint at both edges of every admissible cell with
-        its exact best partner.  Among the candidates within ``y.tie`` of the
-        least RSS, the lexicographically smallest pair wins.
-        """
-        t1, t2, rss_in = self._interior_pairs(y)
+    def _edge_search(self):
+        """``(which, edge, partners)`` of every admissible cell edge of
+        either breakpoint, built on first use."""
         if self._edges is None:
             (cell1, edge1), (cell2, edge2) = self.edges(0), self.edges(1)
             which = np.repeat([0, 1], [edge1.size, edge2.size])
             cell, edge = np.concatenate([cell1, cell2]), np.concatenate([edge1, edge2])
             self._edges = which, edge, _Partners(self, which, self.u[edge], cell)
-        which, edge, partners = self._edges
-        rss_edge, partner = self._partner_rss(y, partners)
-        at = self.u_orig[edge]
-        a1 = np.concatenate([self.x0 + self.span * t1, np.where(which == 0, at, partner)])
-        a2 = np.concatenate([self.x0 + self.span * t2, np.where(which == 0, partner, at)])
+        return self._edges
+
+    def workspace(self) -> _Workspace:
+        """Scratch arrays for :meth:`least_squares_pair`, to reuse for every
+        response on this design, one response at a time."""
+        return _Workspace(self._edge_search()[2])
+
+    def least_squares_pair(self, y: _ResponseSums, work: _Workspace) -> tuple[float, float]:
+        """The admissible breakpoint pair of least RSS for response ``y``, in
+        x units, computed in ``work`` (from :meth:`workspace`).
+
+        Candidates are each breakpoint at both edges of every admissible cell
+        with its exact best partner, and the interior three-line fits of the
+        admissible cell pairs.  Among the candidates within ``y.tie`` of the
+        least RSS, the lexicographically smallest pair wins.  Only the
+        interior fits that can enter that tie set (RSS within ``y.tie`` of
+        the least edge RSS) are located, and only the edges in it get their
+        partner.
+        """
+        which, edge, partners = self._edge_search()
+        rss_edge = self._partner_rss(y, partners, work)
+        t1, t2, rss_in = self._interior_pairs(y, rss_edge.min() + y.tie)
         rss = np.concatenate([rss_in, rss_edge])
         if not np.isfinite(rss).any():
             raise SegmentedError("inner least squares singular for every admissible breakpoint pair")
         tied = np.nonzero(rss <= rss.min() + y.tie)[0]
-        best = tied[np.lexsort((a2[tied], a1[tied]))[0]]
+        inner, rows = tied[tied < rss_in.size], tied[tied >= rss_in.size] - rss_in.size
+        at, first = self.u_orig[edge[rows]], which[rows] == 0
+        partner = self._tie_partners(y, partners, work, rows)
+        a1 = np.concatenate([self.x0 + self.span * t1[inner], np.where(first, at, partner)])
+        a2 = np.concatenate([self.x0 + self.span * t2[inner], np.where(first, partner, at)])
+        best = np.lexsort((a2, a1))[0]
         return float(a1[best]), float(a2[best])
+
+
+def _dot3(w, h, out, tmp):
+    """``w[0] * h[0] + w[1] * h[1] + w[2] * h[2]`` into ``out``, summed in
+    that order, with ``tmp`` as scratch."""
+    np.multiply(w[0], h[0], out=out)
+    for wi, hi in zip(w[1:], h[1:]):
+        np.add(out, np.multiply(wi, hi, out=tmp), out=out)
+    return out
 
 
 def _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out):
@@ -607,7 +672,7 @@ def _shrink_brackets(profile, y, cutoff, which, cell, a_in, a_out):
     rows = np.arange(a_in.size)
     for _ in range(_SHRINK_ROUNDS):
         trial = a_in[:, None] + (a_out - a_in)[:, None] * frac
-        rss, _ = profile.rss(y, np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
+        rss = profile.rss(y, np.repeat(which, points), trial.ravel(), np.repeat(cell, points))
         below = rss.reshape(trial.shape) <= cutoff
         # walking from a_in towards a_out, the first trial above the cutoff
         # becomes the new outside end and the trial before it the inside end
@@ -639,7 +704,7 @@ def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tupl
                 np.insert(v, est_at, e) for v, e in ((cell, est_cell), (t, t_est), (orig, est), (at_est, True))
             )
         samples.append((which, est, cell, t, orig, at_est))
-    rss, _ = profile.rss(
+    rss = profile.rss(
         y,
         np.concatenate([np.full(s[2].size, s[0]) for s in samples]),
         np.concatenate([s[3] for s in samples]),
@@ -734,18 +799,21 @@ def fit_report_rows(fit: SegmentedFit) -> list[dict]:
 def segmented_fitter(min_segment_points: int = 3):
     """Block fitter for the bootstrap (see :mod:`breakline.bands`):
     ``(xs, Y) -> fitted``, row ``i`` the :func:`fit_segmented` mean of
-    ``Y[i]`` evaluated at xs.  The x-only part of the search is built once
-    per call and shared by the rows, and each row runs the same code as
+    ``Y[i]`` evaluated at xs.  Each call builds the x-only part of the
+    search (the design profile) and one workspace for it, and reuses both
+    for every row, one row at a time; the fitter keeps nothing between
+    calls, so threads may share it.  Each row runs the same code as
     :func:`fit_segmented`, so its fit does not depend on the block."""
 
     def fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
         order = np.argsort(xs, kind="stable")
         xs_sorted = xs[order]
         profile = _design_profile(xs_sorted, min_segment_points)
+        work = profile.workspace()
         rows = np.asarray(Y, dtype=float)[:, order]
         fitted = np.empty(rows.shape)
         for i, ys in enumerate(rows):
-            model, _, _ = _least_squares(profile, xs_sorted, ys)
+            model, _, _ = _least_squares(profile, work, xs_sorted, ys)
             fitted[i] = eval_segmented(model, xs)
         return fitted
 

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +27,9 @@ from breakline.piecewise import (
 from breakline.quantile import fit_segmented_quantile, fit_tau_grid
 from breakline.rng import RngSpec, standard_normal
 from breakline.synthetic import ols_oracle
+
+# an out= rewrite that drops an np.errstate guard fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TRUTH = SegmentedModel(beta=(10.0, 0.0, -5.0, 5.0), alpha=(0.3, 0.6))
 
@@ -169,6 +176,233 @@ def test_block_fit_is_bit_identical_to_fit_segmented(case, n):
         assert row.tobytes() == eval_segmented(fit.model, xs).tobytes()
 
 
+def _wedge_dataset(case, n, seed):
+    """Criterion-1 truth with noise sd 0.5 (1 + 1.5 x) on sorted uniform x."""
+    gen = np.random.default_rng(seed)
+    if case == "repeated x":
+        xs = np.sort(np.repeat(gen.uniform(0, 1, n // 2), 2))
+    else:
+        xs = np.sort(gen.uniform(0, 1, n))
+    ys = eval_segmented(TRUTH, xs) + 0.5 * (1.0 + 1.5 * xs) * gen.standard_normal(n)
+    if case == "half-unit ties":
+        ys = np.round(2.0 * ys) / 2.0
+    return BivariateDataset.from_arrays(xs, ys)
+
+
+# (case, n, min_segment_points, seed) -> float.hex of (a1, a2), (b0, b1, b2,
+# b3), rss and the ends of the 95% alpha1 and alpha2 profile-F intervals.
+# Recorded with the search as of commit 49225b4.  The last two datasets
+# carry about 1e-7 relative rounding in their edge RSS (CHANGES.md).
+PINNED = {
+    ("continuous", 40, 3, (40, 3)): (
+        "0x1.9956049caa67cp-2", "0x1.c9830e0a2c2a8p-1",
+        "0x1.4222d3506042dp+3", "-0x1.2fbcc0880e158p-1", "-0x1.1ecfdf7d2e604p+2", "0x1.981d0e3efe2b1p+4",
+        "0x1.5dfd7a40632c0p+4",
+        "0x1.50839ceedc2d8p-4", "0x1.c9830e0a2c2a8p-1", "0x1.08fb144e4640ep-2", "0x1.dce2fb2ca615cp-1",
+    ),
+    ("continuous", 40, 5, (40, 5)): (
+        "0x1.cad83795face2p-2", "0x1.611ba293d9879p-1",
+        "0x1.395b97f9adcdfp+3", "-0x1.d1d46039db3e0p-3", "-0x1.fdfa57b122a8ap+2", "0x1.ae954f2a73704p+3",
+        "0x1.efdb7c57c9bb3p+4",
+        "0x1.8c537ebc3c0e0p-4", "0x1.92119acfb1e82p-1", "0x1.12a3a4d6e926ep-1", "0x1.d6d91d4785c76p-1",
+    ),
+    ("continuous", 200, 3, (200, 3)): (
+        "0x1.6fb31b1ceb39ap-2", "0x1.5bc4fbcaf414fp-1",
+        "0x1.44db317bb710dp+3", "-0x1.32646c417cfb6p+0", "-0x1.0412f685ae815p+2", "0x1.01453dbb5dd1fp+3",
+        "0x1.1d9acd2a83e6bp+7",
+        "0x1.c86fc76843714p-3", "0x1.ba0085af19131p-1", "0x1.18022ba4b85d0p-1", "0x1.fc851c5b7b5dap-1",
+    ),
+    ("continuous", 200, 5, (200, 5)): (
+        "0x1.a6aabb4a0b9f2p-1", "0x1.acf4271727677p-1",
+        "0x1.4aa80c0d04e68p+3", "-0x1.40e3236fd80c0p+1", "-0x1.c8904fd6f1853p+5", "0x1.0cf42062e1f3fp+6",
+        "0x1.5a2088b6f6d74p+7",
+        "0x1.6ef73bc8e5060p-6", "0x1.e0d372db4050bp-1", "0x1.0fd2cb10bfe08p-1", "0x1.f6de592e719c6p-1",
+    ),
+    ("half-unit ties", 40, 3, (40, 3)): (
+        "0x1.a99d48d1291dep-2", "0x1.c9830e0a2c2a8p-1",
+        "0x1.443a3d9ac1f13p+3", "-0x1.86dbe7b1d93e8p-1", "-0x1.275dad1ce8193p+2", "0x1.ad193a522e26cp+4",
+        "0x1.739fb70d3a8b8p+4",
+        "0x1.50839ceedc2d8p-4", "0x1.c381771315c81p-1", "0x1.7d2ca5db266c0p-3", "0x1.dce2fb2ca615cp-1",
+    ),
+    ("half-unit ties", 40, 5, (40, 5)): (
+        "0x1.cff319bc83ddfp-2", "0x1.5d1a939f3641ep-1",
+        "0x1.37a0cc64b7724p+3", "-0x1.b4255ed397800p-6", "-0x1.2a2f3f1df186fp+3", "0x1.df306acbf252dp+3",
+        "0x1.e848a129b5666p+4",
+        "0x1.7e4d61744b9a6p-3", "0x1.4b4bbcc8d1ad4p-1", "0x1.12a3a4d6e926ep-1", "0x1.b2110b9198f32p-1",
+    ),
+    ("half-unit ties", 200, 3, (200, 3)): (
+        "0x1.6fb31b1ceb39ap-2", "0x1.5bb83a206a010p-1",
+        "0x1.45fc9c13ba8f8p+3", "-0x1.6b88faa33cee7p+0", "-0x1.ce1b75aa73e39p+1", "0x1.ee6503a8e9c7bp+2",
+        "0x1.21d309576e384p+7",
+        "0x1.8e0528e4aa130p-3", "0x1.b06ba0a3d1732p-1", "0x1.0cd7433fff123p-1", "0x1.fc851c5b7b5dap-1",
+    ),
+    ("half-unit ties", 200, 5, (200, 5)): (
+        "0x1.d9bf550ba1a96p-1", "0x1.e0d372db4050bp-1",
+        "0x1.4c44792377f4ap+3", "-0x1.57b0162b5695bp+1", "0x1.207b16ca3e0c2p+6", "-0x1.37450039410a1p+6",
+        "0x1.5d4fd513a2e55p+7",
+        "0x1.6ef73bc8e5060p-6", "0x1.e0d372db4050bp-1", "0x1.1349e4878633dp-1", "0x1.f6de592e719c6p-1",
+    ),
+    ("repeated x", 40, 3, (40, 3)): (
+        "0x1.c28fca913aa69p-1", "0x1.d318ea3eed2ebp-1",
+        "0x1.4722e9cd6d610p+3", "-0x1.1b92e8e757a71p+1", "0x1.055cf147be9c6p+6", "-0x1.c18b923fb6c83p+7",
+        "0x1.05356025fb6b7p+4",
+        "0x1.8e198f0f64c16p-1", "0x1.c9830e0a2c2a8p-1", "0x1.ca27166310aebp-1", "0x1.d751c8ceada26p-1",
+    ),
+    ("repeated x", 40, 5, (40, 5)): (
+        "0x1.531ed72c0125ep-1", "0x1.9e02c149742f1p-1",
+        "0x1.4aa3424b5481ep+3", "-0x1.9fd4d7a9629c8p+1", "0x1.506d30e75d320p+3", "-0x1.9768184c1e085p+4",
+        "0x1.e175229eccf69p+4",
+        "0x1.c994b604c09e7p-2", "0x1.5b546e126cd0fp-1", "0x1.2a8186bd21cf2p-1", "0x1.9e02c149742f1p-1",
+    ),
+    ("repeated x", 200, 3, (200, 3)): (
+        "0x1.15234087baf38p-1", "0x1.368b8f01687c4p-1",
+        "0x1.49fedb75bf547p+3", "-0x1.05af855740d58p+1", "-0x1.0426e9f16ef5dp+4", "0x1.3f72b7011c1f1p+4",
+        "0x1.20bc59e75a003p+7",
+        "0x1.f1c322bb1bce7p-2", "0x1.4197c2d498c73p-1", "0x1.1a10daff93020p-1", "0x1.649bd735453efp-1",
+    ),
+    ("repeated x", 200, 5, (200, 5)): (
+        "0x1.b7260ec8a055dp-1", "0x1.bb557a33ef5b2p-1",
+        "0x1.4e27e123d748cp+3", "-0x1.5e39108ebb322p+1", "0x1.f63a2afea960ep+6", "-0x1.078dd368afa23p+7",
+        "0x1.4becb168f01e1p+7",
+        "0x1.4a67fd39c4159p-1", "0x1.ba43c2c4eaf36p-1", "0x1.64944931d2877p-1", "0x1.cf5a2770fe14ap-1",
+    ),
+    ("continuous", 200, 3, (200, 3, 4)): (
+        "0x1.ae367b9efda96p-2", "0x1.f405317f8ccd4p-2",
+        "0x1.3c875d08b6761p+3", "0x1.f1977fe211c48p-3", "-0x1.500fd276f7fb0p+4", "0x1.4c80ea0dfbe8ap+4",
+        "0x1.0c2ba0749407ep+7",
+        "0x1.382b59a44bb32p-2", "0x1.e9eb0704ccee8p-2", "0x1.bbbb3bf98fb6cp-2", "0x1.4387d9e25692ep-1",
+    ),
+    ("half-unit ties", 200, 3, (200, 1, 4)): (
+        "0x1.9463bdc8f91f6p-2", "0x1.98130f7138276p-2",
+        "0x1.3bba25a55103bp+3", "-0x1.cf7449c2a8040p-6", "-0x1.0be6b63a47c81p+8", "0x1.0aed4e242c298p+8",
+        "0x1.9ffd035bf9816p+7",
+        "0x1.f7e54d2636941p-5", "0x1.c667295bd37dap-1", "0x1.81271963b97c8p-2", "0x1.cff7e10effcccp-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=lambda key: f"{key[0]}-{key[1]}-{key[2]}-{key[3]}")
+def test_fit_and_intervals_are_pinned_to_the_bit(key):
+    """A reordered expression that moves a join point, a partner position,
+    the winning pair or a crossing of the F cutoff shows here in the last
+    bits."""
+    case, n, min_pts, seed = key
+    fit = fit_segmented(_wedge_dataset(case, n, list(seed)), min_segment_points=min_pts)
+    iv = breakpoint_intervals(fit, 0.95)
+    values = (*fit.model.alpha, *fit.model.beta, fit.rss, *iv["alpha1"], *iv["alpha2"])
+    assert tuple(float(v).hex() for v in values) == PINNED[key]
+
+
+# The same datasets -> the first 16 hex digits of the sha256 of the exact
+# profile RSS at every admissible cell edge of alpha1, then of alpha2, then
+# of every interior candidate's (a1, a2, rss), as the search ranks them.
+# Recorded with the search as of commit 49225b4.
+PINNED_PROFILES = {
+    ("continuous", 40, 3, (40, 3)): "574a3470919e6d36",
+    ("continuous", 40, 5, (40, 5)): "cc446e1f301a1aaa",
+    ("continuous", 200, 3, (200, 3)): "d1bf5423d70d6006",
+    ("continuous", 200, 5, (200, 5)): "12fe1c9340967e24",
+    ("half-unit ties", 40, 3, (40, 3)): "1830c7136572086c",
+    ("half-unit ties", 40, 5, (40, 5)): "43f9a01ef364c66d",
+    ("half-unit ties", 200, 3, (200, 3)): "ce37ebdcc2e1a6ed",
+    ("half-unit ties", 200, 5, (200, 5)): "9d595520230c7139",
+    ("repeated x", 40, 3, (40, 3)): "9f5a5b69cb664986",
+    ("repeated x", 40, 5, (40, 5)): "daa34a8aba414afb",
+    ("repeated x", 200, 3, (200, 3)): "1f25f5fa1a9f1af4",
+    ("repeated x", 200, 5, (200, 5)): "63e780309a164fbd",
+    ("continuous", 200, 3, (200, 3, 4)): "db211f3425276f63",
+    ("half-unit ties", 200, 3, (200, 1, 4)): "a88ce6139d5c1077",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_PROFILES), ids=lambda key: f"{key[0]}-{key[1]}-{key[2]}-{key[3]}")
+def test_profile_values_are_pinned_to_the_bit(key):
+    """Most of the search's arithmetic reaches the fit only through
+    comparisons, so the fit's pins miss a reordered expression there; the
+    values compared are pinned here."""
+    from breakline.piecewise import _design_profile
+
+    case, n, min_pts, seed = key
+    ds = _wedge_dataset(case, n, list(seed))
+    profile = _design_profile(ds.xs, min_pts)
+    y = profile.response(ds.ys)
+    digest = hashlib.sha256()
+    for which in (0, 1):
+        cell, edge = profile.edges(which)
+        digest.update(profile.rss(y, np.full(cell.size, which), profile.u[edge], cell).tobytes())
+    for values in profile._interior_pairs(y, np.inf):
+        digest.update(values.tobytes())
+    assert digest.hexdigest()[:16] == PINNED_PROFILES[key]
+
+
+def test_warm_search_allocates_no_grid_sized_temporaries():
+    """With its workspace allocated, one search at n = 200 allocates no
+    grid-sized temporaries: each (positions x cells) grid is 0.3 MB, and
+    the search computes about twenty of them."""
+    from breakline.piecewise import _design_profile
+
+    ds = _wedge_dataset("continuous", 200, [200, 3])
+    profile = _design_profile(ds.xs, 3)
+    work = profile.workspace()
+    y = profile.response(ds.ys)
+    expected = profile.least_squares_pair(y, work)
+    tracemalloc.start()
+    try:
+        assert profile.least_squares_pair(y, work) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
+
+
+def test_fitter_reused_across_designs_and_blocks_is_bit_identical():
+    """One fitter fed two designs alternately, in blocks of different sizes,
+    matches fresh fits: nothing leaks between rows through the workspace or
+    between calls through the fitter."""
+    designs = [_wedge_dataset("continuous", 60, [60, 1]), _wedge_dataset("repeated x", 80, [80, 2])]
+    gen = np.random.default_rng(11)
+    fitter = segmented_fitter()
+    for size in (1, 5, 3, 1, 4, 2):
+        for ds in designs:
+            # the fitter takes xs in any order
+            order = gen.permutation(ds.n)
+            xs = ds.xs[order]
+            Y = ds.ys[order] + 0.3 * gen.standard_normal((size, ds.n))
+            block = fitter(xs, Y)
+            for ys, row in zip(Y, block):
+                fit = fit_segmented(BivariateDataset.from_arrays(xs, ys))
+                assert row.tobytes() == eval_segmented(fit.model, xs).tobytes()
+
+
+def test_fitter_shared_between_threads_is_bit_identical():
+    """Threads sharing one fitter on two designs at once get the fits a
+    fitter of their own gives."""
+    designs = [_wedge_dataset("continuous", 40, [40, 7]), _wedge_dataset("half-unit ties", 50, [50, 8])]
+    gen = np.random.default_rng(12)
+    blocks = [(ds.xs, ds.ys + 0.3 * gen.standard_normal((3, ds.n))) for ds in designs]
+    expected = [segmented_fitter()(xs, Y).tobytes() for xs, Y in blocks]
+    shared = segmented_fitter()
+    results = {}
+
+    def work(t):
+        for r in range(6):
+            i = (t + r) % 2
+            results[t, r] = shared(*blocks[i]).tobytes() == expected[i]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 24 and all(results.values())
+
+
 def test_fit_rss_is_the_exact_profile_minimum():
     """On criterion 1's first dataset the exact profile at the fitted
     breakpoints is no lower than the fit's RSS."""
@@ -182,7 +416,7 @@ def test_fit_rss_is_the_exact_profile_minimum():
         a = fit.model.alpha[which]
         cells = [c for c in _cells_of(profile.u_orig, a) if c in profile.cells(which)]
         t = np.full(len(cells), (a - profile.x0) / profile.span)
-        rss, _ = profile.rss(profile.response(fit.ys), np.full(len(cells), which), t, np.array(cells))
+        rss = profile.rss(profile.response(fit.ys), np.full(len(cells), which), t, np.array(cells))
         assert rss.min() >= fit.rss * (1.0 - 1e-12)
 
 
