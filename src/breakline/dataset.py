@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 
 class DataError(ValueError):
@@ -234,7 +234,7 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
         raise DataError(f"need at least 2 observations for a confidence interval, got {n}")
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
-    half = stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n)
+    half = stdtrit(n - 1, 0.975) * sd / math.sqrt(n)
     return mean, mean - half, mean + half
 
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtri, stdtr, stdtrit
 
 # bootstrap_band is unused here; perfbench/tracing.py patches it by name
 from .bands import PredictionBand, bootstrap_band, bootstrap_bands  # noqa: F401
@@ -193,21 +193,19 @@ class SegmentedFit:
     sigma2: float
     cov: np.ndarray
     inference: dict[str, InferenceRow]
-    n: int
     min_segment_points: int
     cov_pd: bool
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
     unidentified: tuple[str, ...] = ()
-    x_range: tuple[float, float] = (0.0, 0.0)
 
 
 def _t_row(name, est, se, df) -> InferenceRow:
     if not math.isfinite(se) or se <= 0.0:
         return InferenceRow(name, est, math.inf, math.nan, math.nan, -math.inf, math.inf)
     t = est / se
-    p = 2.0 * float(stats.t.sf(abs(t), df))
-    tq = float(stats.t.ppf(0.5 + _WALD_LEVEL / 2.0, df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
+    tq = float(stdtrit(df, 0.5 + _WALD_LEVEL / 2.0))
     return InferenceRow(name, est, se, t, p, est - tq * se, est + tq * se)
 
 
@@ -315,13 +313,11 @@ def fit_segmented(ds: BivariateDataset, min_segment_points: int = 3) -> Segmente
         sigma2=sigma2,
         cov=cov,
         inference=inference,
-        n=n,
         min_segment_points=int(min_segment_points),
         cov_pd=cov_pd,
         xs=xs,
         ys=ys,
         unidentified=tuple(unidentified),
-        x_range=(float(xs[0]), float(xs[-1])),
     )
 
 
@@ -711,8 +707,8 @@ def _profile_intervals(fit: SegmentedFit, level: float, names) -> dict[str, tupl
         np.concatenate([s[2] for s in samples]),
     )
     rss_min = min(fit.rss, float(rss.min()))
-    df = fit.n - 6
-    cutoff = rss_min * (1.0 + float(stats.f.ppf(level, 1, df)) / df)
+    df = fit.df
+    cutoff = rss_min * (1.0 + float(fdtri(1, df, level)) / df)
 
     ends = {}  # name -> [lower, upper]; bracketed ends are filled in below
     brackets = []
@@ -767,7 +763,8 @@ def breakpoint_intervals(fit: SegmentedFit, level: float) -> dict[str, tuple[flo
     names = ("alpha1", "alpha2")
     identified = [name for name in names if name not in fit.unidentified]
     found = _profile_intervals(fit, level, identified) if identified else {}
-    return {name: found.get(name, fit.x_range) for name in names}
+    x_range = (float(fit.xs[0]), float(fit.xs[-1]))
+    return {name: found.get(name, x_range) for name in names}
 
 
 def fit_report_rows(fit: SegmentedFit) -> list[dict]:
@@ -853,7 +850,7 @@ def plrm_prediction_band(
     sd = np.sqrt(fit.sigma2 + np.maximum(quad, 0.0))
     bands = []
     for gamma in gammas:
-        half = float(stats.t.ppf(0.5 + gamma / 2.0, fit.df)) * sd
+        half = float(stdtrit(fit.df, 0.5 + gamma / 2.0)) * sd
         bands.append(
             PredictionBand(
                 grid_x=xs.copy(),

@@ -558,3 +558,52 @@ def test_comma_list_led_by_a_negative_value(tmp_path):
         assert main(["synth", "--n", "30", "--truth-alpha", "0.2,1.1", *lists, "--seed", "3", "--out", str(out)]) == 0
         written.append((out / "dataset.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def _pin_input(path: Path) -> Path:
+    """A fixed labelled 40-point input: the criterion-1 truth plus Gaussian
+    noise of sd 0.5 on sorted uniform x, from the test's own generator."""
+    gen = np.random.default_rng(1969)
+    x = np.sort(gen.uniform(0.0, 1.0, 40))
+    y = 10.0 - 5.0 * np.maximum(x - 0.3, 0.0) + 5.0 * np.maximum(x - 0.6, 0.0) + 0.5 * gen.standard_normal(40)
+    site = np.where(gen.uniform(size=40) < 0.5, "A", "B")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "y", "site"])
+        writer.writerows([repr(a), repr(b), c] for a, b, c in zip(x.tolist(), y.tolist(), site.tolist()))
+    return path
+
+
+_T_AND_F_PINS = {
+    "plrm": (
+        ["plrm"],
+        {
+            "fit_report.json": "f57d48a24fc93756768cb867f873bc3533c367251d170064ece053e0d380e147",
+            "summary.json": "070f3f571fd94d2299ad9866a0c3d5b5ea8f7b796b9c419fb79e7d2e6b24109a",
+            "band_gamma080.csv": "affe821c019e4097f958fd7f9eca942fdce8c10daa85c9a0685893397bb981b7",
+            "band_gamma095.csv": "38d8b721997d93dfbe0fba5cd6cecf67f6da947a81cb5d4fc43f3af67cf542d8",
+        },
+    ),
+    "loess-band": (
+        ["loess-band", "--bootstrap", "40", "--label", "site"],
+        {"summary.json": "7fd927c557748a5e9c1efa043a3a21686d5d8bd26162f866b7d86aa876f83949"},
+    ),
+    "compare": (
+        ["compare", "--bootstrap", "20", "--tau-grid", "0.1,0.5,0.9"],
+        {"comparison.json": "b076f60aa072318fb6c67ae3504572b7910c67dd7ecd2f08c2b96ee6d312feb7"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_T_AND_F_PINS))
+def test_t_and_f_outputs_are_pinned_to_the_byte(tmp_path, command):
+    """The files that carry a t or F value, byte for byte: the Wald rows,
+    the profile-F breakpoint ends and the parametric t band of ``plrm``, the
+    t interval of the labelled dataset summary, and the profile-F intervals
+    of ``compare`` at the tau span."""
+    argv, pins = _T_AND_F_PINS[command]
+    data = _pin_input(tmp_path / "pin.csv")
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(data), "--x", "x", "--y", "y", "--seed", "4", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
+    assert digests == pins

