@@ -246,7 +246,7 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
     """Shared by pqrm and compare: the sweep's fits, interval table, band
     (None if a band tau failed) and whether any tau failed.
 
-    The band's taus are fitted in the grid's lockstep sweep; the interval
+    The band's taus are fitted in the grid's sweep; the interval
     table uses the grid's taus only."""
     check_tau_grid(taus)
     band_taus = pqrm_band_taus(gamma)

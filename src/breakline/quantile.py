@@ -16,13 +16,17 @@ pinned at zero off the basis, as tied responses produce) it can stop short of
 a pair's optimum, and the fit can then miss the grid optimum.  It is not
 optimal over the continuum of breakpoint pairs (ROADMAP.md, item 6).
 
-A tau grid is fitted in one lockstep sweep: the candidate pairs are walked
-once, and at each pair the hinge columns are written once and a block
-simplex solves every tau together, each from its own warm basis.  Every
-basis-dependent step of a simplex pass runs stacked over the taus still
-pivoting; only the ratio test of a pivoting tau runs on its own.  Each tau
-keeps its own incumbent and then runs its own refinement, so its fit is
-byte-identical to fitting that tau alone (a block of one).
+A tau grid is fitted in one sweep in which every tau walks the candidate
+pairs, and then its own refinement pairs, at its own pace, each pair
+warm-started from the basis the tau ended the pair before with.  Each
+simplex pass stacks one row per tau still sweeping, on the hinge columns of
+that tau's current pair: every basis-dependent step runs once over the
+stack, and only the ratio test of a pivoting tau runs on its own.  A tau
+whose warm basis is optimal moves on to its next pair while another one
+pivots, so a sweep takes as many passes as its busiest tau needs, not the
+sum over pairs of the most pivots any tau takes there.  Each tau keeps its
+own pass count, warm start and incumbent, so its fit is byte-identical to
+fitting that tau alone.
 
 The spread of breakpoint estimates across a tau grid doubles as a simple
 interval: the smallest and largest estimates over taus ``t_min..t_max`` are
@@ -125,14 +129,11 @@ def _solve_check_loss(X: np.ndarray, y: np.ndarray, taus, bases, ztol: float) ->
     step, found by walking the residual sign-change breakpoints until the
     running derivative turns nonnegative; the objective strictly decreases
     at every pivot, which rules out cycling.  A shortest-step least-index
-    rule takes over after ``_BLAND_AFTER`` pivots as an extra safeguard, and
+    rule takes over after ``_BLAND_AFTER`` passes as an extra safeguard, and
     the hard pivot budget backs both.
 
-    A pass runs every basis-dependent step (the basis inverses, coefficients,
-    residuals, one-sided derivatives and objectives) once, stacked over the
-    rows still pivoting; rows found optimal drop out, and only the ratio test
-    runs per row.  Stacked and per-matrix LAPACK / BLAS calls give the same
-    bits, so each row follows the chain of bases it would follow alone.
+    The rows run through :func:`_simplex_pass` together until each is
+    optimal or spends its budget; rows found optimal drop out.
 
     ``bases`` is a ``(k, p)`` integer array of warm starts; a row that is not
     ``p`` distinct indices into ``X`` starts from the QR basis instead, as
@@ -161,86 +162,18 @@ def _solve_check_loss(X: np.ndarray, y: np.ndarray, taus, bases, ztol: float) ->
         H[row] = fallback[0]
         return True
 
-    every = np.arange(k)[:, None]
     rows = np.array(
         [i for i, start in enumerate(H.tolist())
          if (0 <= start[0] and start[-1] < n and len(set(start)) == p) or restart(i)],
         dtype=np.intp,
     )
-
     for pivot in range(_PIVOT_BUDGET):
         if rows.size == 0:
             break
-        h = H[rows]
-        try:
-            inv = np.linalg.inv(X[h])
-        except np.linalg.LinAlgError:
-            inv, kept = [], []
-            for row in rows:
-                try:
-                    inv.append(np.linalg.inv(X[H[row]]))
-                except np.linalg.LinAlgError:
-                    if not restart(row):
-                        continue
-                    inv.append(np.linalg.inv(X[H[row]]))
-                kept.append(row)
-            rows = np.array(kept, dtype=np.intp)
-            if rows.size == 0:
-                break
-            h = H[rows]
-            inv = np.stack(inv)
-        t = tau[rows, None]
-        b = np.matmul(inv, y[h][:, :, None])[:, :, 0]
-        G = np.matmul(X, inv)
-        r = y - np.matmul(X, b[:, :, None])[:, :, 0]
-        # the basis points' residuals are zero up to rounding; NaN keeps
-        # them out of every sign class below
-        r_off = r.copy()
-        r_off[every[: rows.size], h] = np.nan
-        neg = r_off < -ztol
-        pos = r_off > ztol
-        zero = np.abs(r_off) <= ztol
-        # Fixed-sign contributions plus the exact worst-case rates of points
-        # pinned at zero: moving along +d_j flips a zero point to whichever
-        # side costs more, so the true one-sided derivatives are
-        #   D+_j = (1 - tau) - (s_fixed_j + sum_Z min(tau g, (tau-1) g))
-        #   D-_j = tau + (s_fixed_j + sum_Z max(tau g, (tau-1) g)).
-        # psi is tau on positive, tau - 1 on negative and 0 on other points.
-        t1 = t - 1.0
-        psi = np.where(neg, t1, t * pos)
-        s_fixed = np.matmul(G.transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
-        s_min = s_max = s_fixed
-        pinned = zero.any(axis=0).nonzero()[0]
-        if pinned.size:
-            # The sums over Z run in point order over the points pinned in
-            # any row; a point not pinned in a row adds an exact zero to it.
-            gz = np.where(zero[:, pinned, None], G[:, pinned], 0.0)
-            lo = t[:, :, None] * gz
-            hi = t1[:, :, None] * gz
-            s_min = s_fixed + np.minimum(lo, hi).sum(axis=1)
-            s_max = s_fixed + np.maximum(lo, hi).sum(axis=1)
-        opt_tol = 1e-10 * (1.0 + np.abs(G).sum(axis=(1, 2)))
-        d_plus = (1.0 - t) - s_min
-        d_minus = t + s_max
-        viol = np.maximum(-d_plus, -d_minus)
-        settled = viol.max(axis=1) <= opt_tol
-        objective = (r * (t - (r < 0.0))).sum(axis=1)
-        if settled.all():
-            state.beta[rows] = b
-            state.objective[rows] = objective
-            rows = rows[:0]
-            break
-
-        bland = pivot >= _BLAND_AFTER
-        for m in (~settled).nonzero()[0]:
-            enter = _ratio_test(X, r_off[m], pos[m], neg[m], inv[m], viol[m], d_plus[m], d_minus[m],
-                                opt_tol[m], bland)
-            if enter is None:
-                settled[m] = True
-            else:
-                row = H[rows[m]]
-                row[enter[0]] = enter[1]
-                row.sort()
+        rows, settled, b, objective = _simplex_pass(
+            np.broadcast_to(X, (rows.size, n, p)), y, tau[rows], H, rows, ztol,
+            np.full(rows.size, pivot >= _BLAND_AFTER), restart,
+        )
         done = rows[settled]
         state.beta[done] = b[settled]
         state.objective[done] = objective[settled]
@@ -253,6 +186,89 @@ def _solve_check_loss(X: np.ndarray, y: np.ndarray, taus, bases, ztol: float) ->
     for row in state.errors:
         H[row] = np.sort(bases[row])
     return state
+
+
+def _simplex_pass(X, y, tau, H, rows, ztol, bland, restart):
+    """One pass of the exchange simplex over the bases ``H[rows]``: row ``m``
+    of the pass has the design ``X[m]`` (``X`` is ``(R, n, p)``), the level
+    ``tau[m]`` and, where ``bland[m]``, the least-index rule.
+
+    Every basis-dependent step (the basis inverses, coefficients, residuals,
+    one-sided derivatives and objectives) runs once, stacked over the rows;
+    only the ratio test runs per row.  Stacked and per-matrix LAPACK / BLAS
+    calls give the same bits, so a row's result does not depend on the other
+    rows of its pass.  A row whose basis matrix is singular takes the basis
+    ``restart(row)`` writes into ``H``, or leaves the pass where that
+    returns False.
+
+    Returns ``(rows, settled, beta, objective)``: the rows still in the pass
+    and, over them, which are optimal, with their coefficients and
+    objectives.  A row not settled has taken one pivot in ``H``.
+    """
+    h = H[rows]
+    every = np.arange(rows.size)[:, None]
+    try:
+        inv = np.linalg.inv(X[every, h])
+    except np.linalg.LinAlgError:
+        inv, kept = [], []
+        for m, row in enumerate(rows.tolist()):
+            try:
+                inv.append(np.linalg.inv(X[m][H[row]]))
+            except np.linalg.LinAlgError:
+                if not restart(row):
+                    continue
+                inv.append(np.linalg.inv(X[m][H[row]]))
+            kept.append(m)
+        rows, X, tau, bland = rows[kept], X[kept], tau[kept], bland[kept]
+        if rows.size == 0:
+            return rows, np.zeros(0, dtype=bool), np.zeros((0, X.shape[2])), np.zeros(0)
+        h, every, inv = H[rows], every[: rows.size], np.stack(inv)
+    t = tau[:, None]
+    b = np.matmul(inv, y[h][:, :, None])[:, :, 0]
+    G = np.matmul(X, inv)
+    r = y - np.matmul(X, b[:, :, None])[:, :, 0]
+    # the basis points' residuals are zero up to rounding; NaN keeps
+    # them out of every sign class below
+    r_off = r.copy()
+    r_off[every, h] = np.nan
+    neg = r_off < -ztol
+    pos = r_off > ztol
+    zero = np.abs(r_off) <= ztol
+    # Fixed-sign contributions plus the exact worst-case rates of points
+    # pinned at zero: moving along +d_j flips a zero point to whichever
+    # side costs more, so the true one-sided derivatives are
+    #   D+_j = (1 - tau) - (s_fixed_j + sum_Z min(tau g, (tau-1) g))
+    #   D-_j = tau + (s_fixed_j + sum_Z max(tau g, (tau-1) g)).
+    # psi is tau on positive, tau - 1 on negative and 0 on other points.
+    t1 = t - 1.0
+    psi = np.where(neg, t1, t * pos)
+    s_fixed = np.matmul(G.transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
+    s_min = s_max = s_fixed
+    pinned = zero.any(axis=0).nonzero()[0]
+    if pinned.size:
+        # The sums over Z run in point order over the points pinned in
+        # any row; a point not pinned in a row adds an exact zero to it.
+        gz = np.where(zero[:, pinned, None], G[:, pinned], 0.0)
+        lo = t[:, :, None] * gz
+        hi = t1[:, :, None] * gz
+        s_min = s_fixed + np.minimum(lo, hi).sum(axis=1)
+        s_max = s_fixed + np.maximum(lo, hi).sum(axis=1)
+    opt_tol = 1e-10 * (1.0 + np.abs(G).sum(axis=(1, 2)))
+    d_plus = (1.0 - t) - s_min
+    d_minus = t + s_max
+    viol = np.maximum(-d_plus, -d_minus)
+    settled = viol.max(axis=1) <= opt_tol
+    objective = (r * (t - (r < 0.0))).sum(axis=1)
+    for m in (~settled).nonzero()[0]:
+        enter = _ratio_test(X[m], r_off[m], pos[m], neg[m], inv[m], viol[m], d_plus[m], d_minus[m],
+                            opt_tol[m], bland[m])
+        if enter is None:
+            settled[m] = True
+        else:
+            row = H[rows[m]]
+            row[enter[0]] = enter[1]
+            row.sort()
+    return rows, settled, b, objective
 
 
 def _ratio_test(X, r, pos, neg, inv_xh, viol, d_plus, d_minus, opt_tol, bland):
@@ -339,7 +355,7 @@ def fit_segmented_quantile(ds: BivariateDataset, tau: float, min_segment_points:
     LP on the basis ``(1, x, (x-a1)+, (x-a2)+)``.  One local refinement then
     searches a finer sub-grid between the incumbent's neighboring candidates;
     the refined optimum can only improve on the coarse one.  This is the
-    lockstep sweep of :func:`fit_tau_grid` with one tau.
+    sweep of :func:`fit_tau_grid` with one tau.
 
     Raises
     ------
@@ -357,15 +373,18 @@ def fit_segmented_quantile(ds: BivariateDataset, tau: float, min_segment_points:
 
 
 def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: int) -> list:
-    """The lockstep sweep behind :func:`fit_segmented_quantile` and
+    """The sweep behind :func:`fit_segmented_quantile` and
     :func:`fit_tau_grid`: one entry per tau, its fit or the error it ended with.
 
     The data pass the least-squares fitter's checks first, whose
-    :class:`~breakline.piecewise.SegmentedError` fails the whole grid.  The
-    candidate pairs are walked once; at each pair the hinge columns are
-    written once and every tau still in play is solved in one block.  Every
-    tau starts from the QR basis at the first pair and keeps its own warm
-    basis, incumbent and failure count, then runs its own refinement, so its
+    :class:`~breakline.piecewise.SegmentedError` fails the whole grid.  Each
+    tau walks the candidate grid (one list, shared by every tau) and then
+    its own refinement list at its own pace, starting from the QR basis at
+    the first pair and warm-starting every later pair from the basis it
+    ended the pair before with.  Each simplex pass stacks one row per tau
+    still sweeping, on the hinge columns of that tau's current pair: a tau
+    whose warm basis is optimal moves on while another one pivots.  A tau's
+    pass count, warm start, incumbent and failure count are its own, so its
     fit is the one it would get alone.
     """
     xs, ys = ds.xs, ds.ys
@@ -388,52 +407,116 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
     # the candidate grid: the midpoints of every admissible pair of cells
     mids = (u[:-1] + u[1:]) / 2.0
     i_idx, j_idx = np.nonzero(admissible)
-    tau_arr = np.asarray(taus, dtype=float)
-    # every tau starts from the QR basis (a -1 row)
-    bases = np.full((len(out), 4), -1, dtype=np.intp)
-    best: list = [None] * len(out)  # per tau: (objective, a1, a2, beta)
-    failures = [0] * len(out)
-    # One design buffer for the whole sweep; only the hinge columns change.
-    X = np.column_stack([np.ones_like(xs), xs, xs, xs])
+    mid, first, second = mids.tolist(), i_idx.tolist(), j_idx.tolist()
+    hinge = np.maximum(xs - mids[:, None], 0.0)  # the hinge column of each midpoint
+    n_grid = len(first)
+    K = len(live)
+    levels = np.asarray(taus, dtype=float)[live]
+    # Per tau k: the design of its current pair (only the hinge columns
+    # change), its basis, the basis it entered the pair with, its passes at
+    # the pair, the pair, its place in the grid and then in its refinement
+    # list, and where its current list ends.
+    X = np.empty((K, xs.size, 4))
+    X[:, :, 0] = 1.0
+    X[:, :, 1] = xs
+    H = np.full((K, 4), -1, dtype=np.intp)  # a -1 row has no basis yet
+    warm = H.copy()
+    passes = [0] * K
+    pair: list = [None] * K
+    at = [-1] * K
+    stop = [n_grid] * K
+    refine: list = [None] * K
+    best: list = [None] * K  # per tau: (objective, a1, a2)
+    beta = np.zeros((K, 4))
+    failures = [0] * K
+    sweeping = np.ones(K, dtype=bool)
     ztol = _zero_tol(ys)
 
-    def try_pair(a1, a2, rows):
-        np.maximum(xs - a1, 0.0, out=X[:, 2])
-        np.maximum(xs - a2, 0.0, out=X[:, 3])
-        state = _solve_check_loss(X, ys, tau_arr[rows], bases[rows], ztol)
-        bases[rows] = state.basis
-        for m, (k, objective) in enumerate(zip(rows.tolist(), state.objective.tolist())):
-            if m in state.errors:
-                failures[k] += isinstance(state.errors[m], PivotLimitError)
-            elif best[k] is None or (objective, a1, a2) < best[k][:3]:
-                best[k] = (objective, a1, a2, state.beta[m].copy())
+    def restart(k):
+        try:
+            H[k] = _initial_basis(X[k])
+        except RankDeficiencyError:
+            return False
+        return True
 
-    rows = np.array(live, dtype=np.intp)
-    for i, j in zip(i_idx, j_idx):
-        try_pair(float(mids[i]), float(mids[j]), rows)
-
-    m = mids.size
-    for k in live:
+    def finish(k):
+        sweeping[k] = False
         if best[k] is None:
-            out[k] = QuantileError(f"quantile fit failed at every candidate breakpoint pair (tau={taus[k]})")
-            continue
-        # the incumbent is a grid pair; refine between its neighboring midpoints
-        i_c, j_c = np.searchsorted(mids, best[k][1:3]).tolist()
-        grid1 = np.linspace(mids[max(i_c - 1, 0)], mids[min(i_c + 1, m - 1)], _REFINE_POINTS)
-        grid2 = np.linspace(mids[max(j_c - 1, 0)], mids[min(j_c + 1, m - 1)], _REFINE_POINTS)
-        for a1 in grid1:
-            for a2 in grid2:
-                if _pair_admissible(u, admissible, a1, a2):
-                    try_pair(float(a1), float(a2), np.array([k]))
-        objective, a1, a2, beta = best[k]
-        out[k] = QuantileSegmentedFit(
-            tau=float(taus[k]),
-            model=SegmentedModel(beta=tuple(float(v) for v in beta), alpha=(a1, a2)),
+            out[live[k]] = QuantileError(
+                f"quantile fit failed at every candidate breakpoint pair (tau={taus[live[k]]})")
+            return
+        objective, a1, a2 = best[k]
+        out[live[k]] = QuantileSegmentedFit(
+            tau=float(taus[live[k]]),
+            model=SegmentedModel(beta=tuple(beta[k].tolist()), alpha=(a1, a2)),
             objective=objective,
             status="optimal" if failures[k] == 0 else "grid-fallback",
-            residuals=ys - segmented_design(xs, a1, a2) @ beta,
+            residuals=ys - segmented_design(xs, a1, a2) @ beta[k],
         )
+
+    def move(ks):
+        """Move the taus ``ks`` to their next pair, or finish those whose
+        lists are spent.  A tau with no basis yet starts from the QR basis
+        of its pair, and moves on again if that design is rank deficient."""
+        while ks:
+            fresh = []
+            for k in ks:
+                a = at[k] = at[k] + 1
+                if a == stop[k] and refine[k] is None and best[k] is not None:
+                    refine[k] = _refinement(mids, u, admissible, best[k][1:])
+                    stop[k] += len(refine[k])
+                if a == stop[k]:
+                    finish(k)
+                    continue
+                if a < n_grid:
+                    i, j = first[a], second[a]
+                    pair[k] = (mid[i], mid[j])
+                    X[k, :, 2] = hinge[i]
+                    X[k, :, 3] = hinge[j]
+                else:
+                    pair[k] = a1, a2 = refine[k][a - n_grid]
+                    X[k, :, 2] = np.maximum(xs - a1, 0.0)
+                    X[k, :, 3] = np.maximum(xs - a2, 0.0)
+                passes[k] = 0
+                warm[k] = H[k]
+                if H[k, 0] < 0:
+                    fresh.append(k)
+            ks = [k for k in fresh if not restart(k)]
+
+    move(list(range(K)))
+    while sweeping.any():
+        rows = sweeping.nonzero()[0]
+        bland = np.array([passes[k] >= _BLAND_AFTER for k in rows.tolist()])
+        kept, settled, b, objective = _simplex_pass(
+            X if rows.size == K else X[rows], ys, levels[rows], H, rows, ztol, bland, restart)
+        # a pair that ends in an error leaves the tau's basis as it entered
+        failed = np.setdiff1d(rows, kept).tolist() if kept.size < rows.size else []
+        moved = []
+        for m, (k, optimal, value) in enumerate(zip(kept.tolist(), settled.tolist(), objective.tolist())):
+            if optimal:
+                if best[k] is None or (value, *pair[k]) < best[k]:
+                    best[k] = (value, *pair[k])
+                    beta[k] = b[m]
+                moved.append(k)
+            else:
+                passes[k] += 1
+                if passes[k] == _PIVOT_BUDGET:
+                    failures[k] += 1
+                    failed.append(k)
+        for k in failed:
+            H[k] = warm[k]
+        move(moved + failed)
     return out
+
+
+def _refinement(mids: np.ndarray, u: np.ndarray, admissible: np.ndarray, incumbent) -> list:
+    """The admissible pairs of the finer grid between the neighbouring
+    midpoints of the grid pair ``incumbent``."""
+    m = mids.size
+    i_c, j_c = np.searchsorted(mids, incumbent).tolist()
+    grid1 = np.linspace(mids[max(i_c - 1, 0)], mids[min(i_c + 1, m - 1)], _REFINE_POINTS).tolist()
+    grid2 = np.linspace(mids[max(j_c - 1, 0)], mids[min(j_c + 1, m - 1)], _REFINE_POINTS).tolist()
+    return [(a1, a2) for a1 in grid1 for a2 in grid2 if _pair_admissible(u, admissible, a1, a2)]
 
 
 def check_tau_grid(taus: Sequence[float]) -> list[float]:
@@ -445,13 +528,14 @@ def check_tau_grid(taus: Sequence[float]) -> list[float]:
 
 
 def fit_tau_grid(ds: BivariateDataset, taus: Sequence[float] = DEFAULT_TAU_GRID, min_segment_points: int = 3):
-    """Fit every tau in the grid in one lockstep sweep; returns (fits,
-    failures) where failures is a list of ``(tau, message)`` for levels that
-    could not be fit.
+    """Fit every tau in the grid in one sweep; returns (fits, failures) where
+    failures is a list of ``(tau, message)`` for levels that could not be
+    fit.
 
-    The candidate pairs are walked once for the whole grid, and at each pair
-    one block simplex solves every tau from its own warm basis.  Each tau's
-    chain of bases, and so its fit, is byte-identical to
+    Every tau walks the candidate pairs at its own pace, from its own warm
+    basis, and each simplex pass solves one pair of every tau still sweeping
+    in one stacked block.  Each tau's chain of bases, and so its fit, is
+    byte-identical to
     ``fit_segmented_quantile(ds, tau, min_segment_points)``.  Data that
     cannot support two breakpoints raise the
     :class:`~breakline.piecewise.SegmentedError` of

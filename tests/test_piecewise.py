@@ -577,7 +577,7 @@ def test_profile_interval_endpoints_on_cutoff_or_edge(case):
     strict=True,
     raises=AssertionError,
     reason="the profile is sampled only at cell edges and the estimate, so a dip below the cutoff "
-    "inside a cell whose edges are above it is missed (ROADMAP item 3)",
+    "inside a cell whose edges are above it is missed (ROADMAP item 4)",
 )
 def test_profile_interval_reaches_a_dip_inside_a_cell():
     rng = np.random.default_rng(22)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -330,7 +332,7 @@ def test_fit_tau_grid_collects_failures():
         fit_tau_grid(ds, [0.5, 0.3])  # not increasing
 
 
-# The scalar exchange simplex and per-tau sweep that the lockstep block
+# The scalar exchange simplex and per-tau sweep that the stacked block
 # solver replaced, kept verbatim as the reference for bit identity.
 def _scalar_solve(X, y, tau, warm_basis=None, ztol=None, trusted_basis=False):
     n, p = X.shape
@@ -531,6 +533,38 @@ def test_tau_grid_is_bit_identical_to_scalar_sweep(monkeypatch):
     monkeypatch.setattr(quantile_module, "_PIVOT_BUDGET", 3)
     fits = _assert_grid_matches_scalar(ds, [0.1, 0.5, 0.9], "low budget", (None,))
     assert "grid-fallback" in {f.status for f in fits}
+
+
+def test_tau_grid_matches_scalar_sweep_on_the_bland_path(monkeypatch):
+    """With the least-index rule from the first pivot at every pair, every
+    tau still follows the chain of its scalar sweep on the tied and
+    repeated-x data: the rule starts by each tau's own pass count at its
+    own pair."""
+    monkeypatch.setattr(quantile_module, "_BLAND_AFTER", 1)
+    for label, ds in _bit_identity_datasets():
+        if label.startswith(("half-unit tied", "repeated x")):
+            _assert_grid_matches_scalar(ds, list(DEFAULT_TAU_GRID), label, (None,))
+
+
+def test_tau_grid_peak_memory_is_bounded():
+    """A warm decile sweep of the benchmark's fixed input (half-unit tied
+    wedge data on x = linspace(0, 1, 100)) peaks under 1 MB of Python
+    allocations: the candidate grid and its hinge columns are stored once
+    for every tau, and the per-tau state is a few rows of length n."""
+    truth = SegmentedModel(beta=(10.0, 0.0, -5.0, 5.0), alpha=(0.3, 0.6))
+    xs = np.linspace(0.0, 1.0, 100)
+    noise = 0.5 * (1.0 + 1.5 * xs) * np.random.default_rng(2).standard_normal(100)
+    ys = np.round(2.0 * (eval_segmented(truth, xs) + noise)) / 2.0
+    ds = BivariateDataset.from_arrays(xs, ys)
+    expected, _ = fit_tau_grid(ds)
+    tracemalloc.start()
+    try:
+        fits, _ = fit_tau_grid(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [f.objective for f in fits] == [f.objective for f in expected]
+    assert peak < 1e6, peak
 
 
 def test_singular_basis_in_block_restarts_only_its_row():
