@@ -26,7 +26,8 @@ fit = bl.fit_loess(ds, config)
 print(f"loess residual spread: sd={np.std(fit.residuals):.3f}")
 
 # both bands come from the same 2000-replicate pool, so they nest exactly
-bands = bl.bootstrap_bands(ds, bl.loess_fitter(config), [0.80, 0.95], 2000, bl.RngSpec(1), method="BL")
+# the replicates resample around the loess fit above
+bands = bl.bootstrap_bands(ds, fit.fitted, bl.loess_fitter(config), [0.80, 0.95], 2000, bl.RngSpec(1), method="BL")
 for band in bands:
     area = bl.compute_area(band)
     print(f"gamma={band.gamma:.2f}: surface area {area:.3f} square units")

@@ -39,5 +39,5 @@ for level in (0.80, 0.95):
         f"  alpha2 ({iv['alpha2'][0]:.3f}, {iv['alpha2'][1]:.3f})"
     )
 
-(band,) = bl.plrm_prediction_band(fit, ds, [0.80])
+(band,) = bl.plrm_prediction_band(fit, [0.80])
 print(f"\n80% parametric band area: {bl.compute_area(band):.3f} square units")

@@ -15,10 +15,11 @@ spec = bl.SyntheticSpec(model=truth, n=100, noise=bl.WedgeNoise(0.4, 1.5), rng=b
 ds = bl.generate(spec)
 gamma = 0.80
 
-bl_band = bl.bootstrap_band(ds, bl.loess_fitter(), gamma, 1000, bl.RngSpec(0), method="BL")
+center = bl.fit_loess(ds).fitted
+bl_band = bl.bootstrap_band(ds, center, bl.loess_fitter(), gamma, 1000, bl.RngSpec(0), method="BL")
 
 ls_fit = bl.fit_segmented(ds)
-(pl_band,) = bl.plrm_prediction_band(ls_fit, ds, [gamma])
+(pl_band,) = bl.plrm_prediction_band(ls_fit, [gamma])
 
 fits, _ = bl.fit_tau_grid(ds)
 table = bl.quantile_breakpoint_intervals(fits)

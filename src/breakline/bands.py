@@ -1,19 +1,23 @@
 """Residual-bootstrap prediction bands, generic over the mean-model fitter.
 
-The resampling scheme: fit the mean model once, center its residuals, and for
-each replicate (1) build a synthetic response from the fitted curve plus
-resampled residuals, (2) refit the model on it, (3) center the replicate's
-residuals and resample them a second time, and (4) record the predicted
-residual ``fitted - refit + resampled``.  Pointwise empirical quantiles of the
-predicted residuals (pooled over the rows at one x value), added back to the
-fitted curve, give the band.
+The resampling scheme (Davison & Hinkley 1997, ch. 6): around the caller's
+fitted curve, the ``center``, center the residuals, and for each replicate
+(1) build a synthetic response from the center plus resampled residuals,
+(2) refit the model on it, (3) center the replicate's residuals and resample
+them a second time, and (4) record the predicted residual ``center - refit
++ resampled``.  Pointwise empirical quantiles of the predicted residuals
+(pooled over the rows at one x value), added back to the center, give the
+band.  The center is the caller's own fit of the data, so the data are
+never fitted twice.
 
-A "fitter" maps ``(xs, Y) -> fitted``, where ``Y`` holds one response per
-row, shape ``(b, n)``, and ``fitted`` has the same shape: row ``i`` is the
-fitted mean at ``xs`` for the responses ``Y[i]``.  The design is fixed across
-replicates, so a fitter does its work that depends on x alone once per call.
-A fitter that cannot fit some row raises a ``ValueError`` for the whole
-block.  The scheme works for parametric and nonparametric mean models alike.
+A "fitter" binds to a design once, ``fitter(xs) -> fit_rows``, doing there
+the work that depends on x alone; ``fit_rows(Y)`` then takes one response
+per row, shape ``(b, n)``, and returns ``fitted`` of the same shape: row
+``i`` is the fitted mean at ``xs`` for the responses ``Y[i]``.  The pool
+binds its fitter once and refits every block of replicates with the bound
+form.  A ``fit_rows`` that cannot fit some row raises a ``ValueError`` for
+the whole block.  The scheme works for parametric and nonparametric mean
+models alike.
 """
 
 from __future__ import annotations
@@ -62,18 +66,20 @@ class PredictionBand:
             raise ValueError("grid_x, center, lower, upper must share one shape")
 
 
-def _fit_block(fitter, xs, Y) -> np.ndarray:
-    fitted = np.asarray(fitter(xs, Y), dtype=float)
+def _fit_block(fit_rows, Y) -> np.ndarray:
+    fitted = np.asarray(fit_rows(Y), dtype=float)
     if fitted.shape != Y.shape:
         raise BootstrapError("fitter must return one fitted value per observation")
     return fitted
 
 
-def predicted_residual_pool(ds: BivariateDataset, fitter, B: int, rng: RngSpec):
-    """Run the resampling loop once; returns (center, pool of shape (B, n)).
+def predicted_residual_pool(ds: BivariateDataset, center, fitter, B: int, rng: RngSpec) -> np.ndarray:
+    """Run the resampling loop once around ``center``, the caller's fitted
+    values at ``ds.xs``; returns the pool of shape (B, n).
 
-    The center fit is a block of one and the replicates go to the fitter in
-    blocks of ``_BLOCK``.  Replicate ``b`` draws from its own stream, in the
+    The fitter is bound to ``ds.xs`` once, and the replicates go to the
+    bound form in blocks of ``_BLOCK``; the bound form is released when the
+    pool is complete.  Replicate ``b`` draws from its own stream, in the
     same order whatever the blocking: its first residual draw, then one
     fresh draw per retry, then the second draw.  When a block raises a
     ``ValueError`` (the fitters' error types and numpy's ``LinAlgError``
@@ -84,37 +90,40 @@ def predicted_residual_pool(ds: BivariateDataset, fitter, B: int, rng: RngSpec):
     """
     xs, ys = ds.xs, ds.ys
     n = ds.n
-    center = _fit_block(fitter, xs, ys[None, :])[0]
+    center = np.asarray(center, dtype=float)
+    if center.shape != xs.shape:
+        raise BootstrapError("center must hold one fitted value per observation")
     resid = ys - center
     centered = resid - resid.mean()
+    fit_rows = fitter(xs)
     pool = np.empty((B, n))
     for start in range(0, B, _BLOCK):
         reps = range(start, min(start + _BLOCK, B))
         gens = [rng.stream(b) for b in reps]
         Y = np.array([center + centered[gen.integers(0, n, size=n)] for gen in gens])
         try:
-            refits = _fit_block(fitter, xs, Y)
+            refits = _fit_block(fit_rows, Y)
         except ValueError:
             refits = np.empty_like(Y)
             for i, (b, gen) in enumerate(zip(reps, gens)):
-                Y[i], refits[i] = _refit_one(fitter, xs, Y[i], center, centered, gen, b)
+                Y[i], refits[i] = _refit_one(fit_rows, Y[i], center, centered, gen, b)
         for b, gen, y_star, refit in zip(reps, gens, Y, refits):
             e_star = y_star - refit
             e_centered = e_star - e_star.mean()
             draw2 = gen.integers(0, n, size=n)
             pool[b] = center - refit + e_centered[draw2]
-    return center, pool
+    return pool
 
 
-def _refit_one(fitter, xs, y_star, center, centered, gen, b):
+def _refit_one(fit_rows, y_star, center, centered, gen, b):
     """One replicate's refit, retried with fresh draws from its stream on a
     ``ValueError``; returns the response that fit and its fitted values."""
-    n = xs.size
+    n = y_star.size
     for attempt in range(1 + _MAX_RETRIES):
         if attempt:
             y_star = center + centered[gen.integers(0, n, size=n)]
         try:
-            return y_star, _fit_block(fitter, xs, y_star[None, :])[0]
+            return y_star, _fit_block(fit_rows, y_star[None, :])[0]
         except ValueError:
             continue
     raise BootstrapError(f"model fitter failed for replicate {b} after {_MAX_RETRIES} retries")
@@ -157,10 +166,13 @@ def band_from_pool(ds: BivariateDataset, center, pool, gamma, method="", meta=No
     )
 
 
-def bootstrap_bands(ds: BivariateDataset, fitter, gammas, B: int, rng: RngSpec, method="") -> list[PredictionBand]:
-    """Bands at several confidence coefficients from one pool of ``B``
-    replicates drawn from ``rng``.  Every gamma must lie in (0, 1), and ``B``
-    must leave two replicates outside the widest band: ``B (1 - gamma) >= 2``."""
+def bootstrap_bands(
+    ds: BivariateDataset, center, fitter, gammas, B: int, rng: RngSpec, method=""
+) -> list[PredictionBand]:
+    """Bands at several confidence coefficients around ``center``, the
+    caller's fit of ``ds``, from one pool of ``B`` replicates drawn from
+    ``rng``.  Every gamma must lie in (0, 1), and ``B`` must leave two
+    replicates outside the widest band: ``B (1 - gamma) >= 2``."""
     for gamma in gammas:
         if not (0.0 < gamma < 1.0):
             raise BootstrapError(f"gamma must be in (0, 1), got {gamma}")
@@ -170,21 +182,26 @@ def bootstrap_bands(ds: BivariateDataset, fitter, gammas, B: int, rng: RngSpec, 
         raise BootstrapError(
             f"B={B} is too small for gamma={widest}; need B >= 2/(1-gamma) = {2.0 / (1.0 - widest):.1f}"
         )
-    center, pool = predicted_residual_pool(ds, fitter, B, rng)
+    pool = predicted_residual_pool(ds, center, fitter, B, rng)
     meta = {"seed": rng.seed}
     return [band_from_pool(ds, center, pool, g, method=method, meta=meta) for g in gammas]
 
 
-def bootstrap_band(ds: BivariateDataset, fitter, gamma, B: int, rng: RngSpec, method="") -> PredictionBand:
+def bootstrap_band(ds: BivariateDataset, center, fitter, gamma, B: int, rng: RngSpec, method="") -> PredictionBand:
     """Single band at ``gamma``; deterministic given its arguments."""
-    return bootstrap_bands(ds, fitter, [gamma], B, rng, method=method)[0]
+    return bootstrap_bands(ds, center, fitter, [gamma], B, rng, method=method)[0]
 
 
-def ols_line_fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Least-squares straight line of each row of ``Y``, in the block fitter
-    contract above: one projection onto the orthonormal basis of the design."""
+def ols_line_fitter(xs: np.ndarray):
+    """Least-squares straight line of each row of ``Y``, in the fitter
+    contract above: one projection onto the orthonormal basis of the
+    design, which the binding computes."""
     Q, _ = np.linalg.qr(np.column_stack([np.ones_like(xs), xs]))
     q0, q1 = Q.T.copy()
-    Y = np.asarray(Y, dtype=float)
-    # row sums of elementwise products, so each row's fit ignores the others
-    return (Y * q0).sum(axis=1)[:, None] * q0 + (Y * q1).sum(axis=1)[:, None] * q1
+
+    def fit_rows(Y: np.ndarray) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        # row sums of elementwise products, so each row's fit ignores the others
+        return (Y * q0).sum(axis=1)[:, None] * q0 + (Y * q1).sum(axis=1)[:, None] * q1
+
+    return fit_rows

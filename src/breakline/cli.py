@@ -24,8 +24,7 @@ from .dataset import (
     summarize,
     write_dataset_csv,
 )
-# fit_loess is unused here; perfbench/tracing.py patches it by name
-from .loess import LoessConfig, LoessError, fit_loess, loess_fitter  # noqa: F401
+from .loess import LoessConfig, LoessError, fit_loess, loess_fitter
 from .piecewise import (
     SegmentedError,
     SegmentedModel,
@@ -126,8 +125,11 @@ def _taus(args) -> list[float]:
     return _parse_floats(args.tau_grid, None, "tau") if args.tau_grid else list(DEFAULT_TAU_GRID)
 
 
-def _loess_fitter(args):
-    return loess_fitter(LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters))
+def _loess_bands(args, ds, gammas):
+    """The BL bands: the residual bootstrap around the command's loess fit."""
+    config = LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters)
+    center = fit_loess(ds, config).fitted
+    return bootstrap_bands(ds, center, loess_fitter(config), gammas, args.bootstrap, RngSpec(args.seed), method="BL")
 
 
 def _emit_band(out: _Outputs, band, prefix: str = "") -> None:
@@ -192,7 +194,7 @@ def cmd_synth(args, out: _Outputs) -> int:
 def cmd_loess_band(args, out: _Outputs) -> int:
     ds = _load(args)
     gammas = _gammas(args)
-    bands = bootstrap_bands(ds, _loess_fitter(args), gammas, args.bootstrap, RngSpec(args.seed), method="BL")
+    bands = _loess_bands(args, ds, gammas)
     areas = _area_and_emit(out, bands)
     write_json(
         out.path("summary.json"),
@@ -224,7 +226,7 @@ def cmd_plrm(args, out: _Outputs) -> int:
     )
     gammas = _gammas(args)
     force_bootstrap = args.band_method == "bootstrap"
-    bands = plrm_prediction_band(fit, ds, gammas, args.bootstrap, args.seed, force_bootstrap)
+    bands = plrm_prediction_band(fit, gammas, args.bootstrap, args.seed, force_bootstrap)
     areas = _area_and_emit(out, bands)
     ci95 = breakpoint_intervals(fit, 0.95)
     _emit_figure(out, "figure_plrm", ds, bands, ticks=list(ci95.values()))
@@ -301,11 +303,11 @@ def cmd_compare(args, out: _Outputs) -> int:
     ds = _load(args)
     (gamma,) = _gammas(args, (0.80,))
     taus = _taus(args)
-    # the pool's center fit runs first, so loess errors surface before the slow part
-    (bl_band,) = bootstrap_bands(ds, _loess_fitter(args), [gamma], args.bootstrap, RngSpec(args.seed), method="BL")
+    # the loess fit runs first, so loess errors surface before the slow part
+    (bl_band,) = _loess_bands(args, ds, [gamma])
     ls_fit = fit_segmented(ds, min_segment_points=args.min_seg_points)
     _, table, pq_band, partial = _pqrm_pieces(ds, taus, gamma, args.min_seg_points)
-    (pl_band,) = plrm_prediction_band(ls_fit, ds, [gamma], args.bootstrap, args.seed)
+    (pl_band,) = plrm_prediction_band(ls_fit, [gamma], args.bootstrap, args.seed)
     if pq_band is None:
         raise QuantileError("quantile band fits failed; cannot compare methods")
 

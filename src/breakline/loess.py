@@ -200,13 +200,18 @@ def _smooth(nb: _Neighbourhoods, Y: np.ndarray, delta: np.ndarray | None = None)
     return fitted
 
 
-def _fit_rows(xs: np.ndarray, Y: np.ndarray, config: "LoessConfig"):
-    """Fitted values and final robustness weights for each row of ``Y``
-    (b, n) on the sorted design ``xs``; the robustness passes stop per row."""
+def _design(xs: np.ndarray, config: "LoessConfig") -> _Neighbourhoods:
+    """The neighbourhoods of a fit at the sorted design ``xs`` itself."""
     n = xs.size
     if n < config.degree + 2:
         raise LoessError(f"need at least degree + 2 = {config.degree + 2} points, got {n}")
-    nb = _Neighbourhoods(xs, xs, config.neighborhood_size(n), config.degree)
+    return _Neighbourhoods(xs, xs, config.neighborhood_size(n), config.degree)
+
+
+def _fit_rows(nb: _Neighbourhoods, Y: np.ndarray, config: "LoessConfig"):
+    """Fitted values and final robustness weights for each row of ``Y``
+    (b, n) on the design of ``nb`` (from :func:`_design`); the robustness
+    passes stop per row."""
     fitted = _smooth(nb, Y)
     delta = np.ones_like(Y)
     scale_floor = 1e-12 * (1.0 + np.median(np.abs(Y), axis=1))
@@ -237,7 +242,7 @@ def fit_loess(ds: BivariateDataset, config: LoessConfig = LoessConfig()) -> Loes
         If some neighborhood puts positive weight on fewer distinct x values
         than ``degree + 1``.
     """
-    fitted, delta = _fit_rows(ds.xs, ds.ys[None, :], config)
+    fitted, delta = _fit_rows(_design(ds.xs, config), ds.ys[None, :], config)
     fitted, delta = fitted[0], delta[0]
     return LoessFit(
         config=config,
@@ -265,18 +270,25 @@ def predict_loess(fit: LoessFit, ds: BivariateDataset, grid) -> np.ndarray:
 
 
 def loess_fitter(config: LoessConfig = LoessConfig()):
-    """Adapter with the block fitter contract of :mod:`breakline.bands`:
-    ``(xs, Y) -> fitted``, one row of fitted values at xs per row of ``Y``.
+    """Adapter with the fitter contract of :mod:`breakline.bands`:
+    ``fitter(xs)`` builds the neighbourhoods and tricube weights of the
+    design once and returns ``fit_rows(Y)``, one row of fitted values at xs
+    per row of ``Y``.
 
     :func:`fit_loess` runs the same code on a block of one, so a row's fit
     does not depend on the block it is in.  A block raises
     :class:`SingularFitError` when any of its rows would.
     """
 
-    def fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def fitter(xs: np.ndarray):
         order = np.argsort(xs, kind="stable")
-        fitted = np.empty_like(Y, dtype=float)
-        fitted[:, order] = _fit_rows(xs[order], np.asarray(Y, dtype=float)[:, order], config)[0]
-        return fitted
+        nb = _design(xs[order], config)
+
+        def fit_rows(Y: np.ndarray) -> np.ndarray:
+            fitted = np.empty_like(Y, dtype=float)
+            fitted[:, order] = _fit_rows(nb, np.asarray(Y, dtype=float)[:, order], config)[0]
+            return fitted
+
+        return fit_rows
 
     return fitter

@@ -794,57 +794,66 @@ def fit_report_rows(fit: SegmentedFit) -> list[dict]:
 
 
 def segmented_fitter(min_segment_points: int = 3):
-    """Block fitter for the bootstrap (see :mod:`breakline.bands`):
-    ``(xs, Y) -> fitted``, row ``i`` the :func:`fit_segmented` mean of
-    ``Y[i]`` evaluated at xs.  Each call builds the x-only part of the
-    search (the design profile) and one workspace for it, and reuses both
-    for every row, one row at a time; the fitter keeps nothing between
-    calls, so threads may share it.  Each row runs the same code as
-    :func:`fit_segmented`, so its fit does not depend on the block."""
+    """Fitter for the bootstrap (see :mod:`breakline.bands`): ``fitter(xs)``
+    builds the x-only part of the search (the design profile, with its edge
+    partners and three-line split sums) and one workspace for it, and
+    returns ``fit_rows(Y)``, whose row ``i`` is the :func:`fit_segmented`
+    mean of ``Y[i]`` evaluated at xs.  ``fit_rows`` reuses the profile and
+    the workspace for every row of every block, one row at a time, so it
+    serves one thread at a time; the fitter itself keeps nothing, so threads
+    may share it.  Each row runs the same code as :func:`fit_segmented`, so
+    its fit does not depend on the block."""
 
-    def fitter(xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def fitter(xs: np.ndarray):
         order = np.argsort(xs, kind="stable")
         xs_sorted = xs[order]
         profile = _design_profile(xs_sorted, min_segment_points)
         work = profile.workspace()
-        rows = np.asarray(Y, dtype=float)[:, order]
-        fitted = np.empty(rows.shape)
-        for i, ys in enumerate(rows):
-            model, _, _ = _least_squares(profile, work, xs_sorted, ys)
-            fitted[i] = eval_segmented(model, xs)
-        return fitted
+
+        def fit_rows(Y: np.ndarray) -> np.ndarray:
+            rows = np.asarray(Y, dtype=float)[:, order]
+            fitted = np.empty(rows.shape)
+            for i, ys in enumerate(rows):
+                model, _, _ = _least_squares(profile, work, xs_sorted, ys)
+                fitted[i] = eval_segmented(model, xs)
+            return fitted
+
+        return fit_rows
 
     return fitter
 
 
 def plrm_prediction_band(
     fit: SegmentedFit,
-    ds: BivariateDataset,
     gammas,
     B: int = 10_000,
     seed: int = 0,
     force_bootstrap: bool = False,
 ) -> list[PredictionBand]:
-    """Prediction bands for the response on the observed design, one per gamma.
+    """Prediction bands for the response on the fit's own design, one per gamma.
 
     The default is the parametric band ``yhat(x) +/- t * sqrt(sigma2 * (1 +
     g' (J'J)^-1 g))`` with ``g`` the mean-function gradient; when the
     curvature matrix is not positive definite (or on request) the bands fall
-    back to the residual bootstrap with the piecewise fitter, all read off
-    one pool of ``B`` replicates seeded by ``seed``.  ``B`` and ``seed`` are
-    used, and checked against the gammas, only on that branch.
+    back to the residual bootstrap around the fitted curve with the
+    piecewise fitter, all read off one pool of ``B`` replicates seeded by
+    ``seed``.  The pool refits the replicates only: the curve is the fit's
+    own, and the fitter builds the design profile once for the whole pool.
+    ``B`` and ``seed`` are used, and checked against the gammas, only on
+    that branch.
     """
     for gamma in gammas:
         if not (0.0 < gamma < 1.0):
             raise SegmentedError(f"gamma must be in (0, 1), got {gamma}")
+    xs = fit.xs
+    center = eval_segmented(fit.model, xs)
     if force_bootstrap or not fit.cov_pd:
+        ds = BivariateDataset.from_arrays(xs, fit.ys)
         fitter = segmented_fitter(min_segment_points=fit.min_segment_points)
-        bands = bootstrap_bands(ds, fitter, gammas, B, RngSpec(seed), method="PLRM")
+        bands = bootstrap_bands(ds, center, fitter, gammas, B, RngSpec(seed), method="PLRM")
         for band in bands:
             band.meta["bootstrap_fallback"] = True
         return bands
-    xs = ds.xs
-    center = eval_segmented(fit.model, xs)
     g = _theta_jacobian(xs, fit.model.theta)
     quad = np.einsum("ij,jk,ik->i", g, fit.cov, g)
     sd = np.sqrt(fit.sigma2 + np.maximum(quad, 0.0))

@@ -210,19 +210,11 @@ def _simplex_pass(X, y, tau, H, rows, ztol, bland, restart):
     try:
         inv = np.linalg.inv(X[every, h])
     except np.linalg.LinAlgError:
-        inv, kept = [], []
-        for m, row in enumerate(rows.tolist()):
-            try:
-                inv.append(np.linalg.inv(X[m][H[row]]))
-            except np.linalg.LinAlgError:
-                if not restart(row):
-                    continue
-                inv.append(np.linalg.inv(X[m][H[row]]))
-            kept.append(m)
+        kept, inv = _restart_singular(X, H, rows, restart)
         rows, X, tau, bland = rows[kept], X[kept], tau[kept], bland[kept]
         if rows.size == 0:
             return rows, np.zeros(0, dtype=bool), np.zeros((0, X.shape[2])), np.zeros(0)
-        h, every, inv = H[rows], every[: rows.size], np.stack(inv)
+        h, every = H[rows], every[: rows.size]
     t = tau[:, None]
     b = np.matmul(inv, y[h][:, :, None])[:, :, 0]
     G = np.matmul(X, inv)
@@ -269,6 +261,38 @@ def _simplex_pass(X, y, tau, H, rows, ztol, bland, restart):
             row[enter[0]] = enter[1]
             row.sort()
     return rows, settled, b, objective
+
+
+def _restart_singular(X, H, rows, restart):
+    """The basis inverses of a pass whose stacked inverse raised: ``(kept,
+    inverses)``, the pass rows that stay in it and their inverses.
+
+    One stacked LU (``slogdet``, the factorisation ``inv`` makes, with no
+    product to underflow to a false zero) finds the rows with a zero pivot.
+    Those rows take their ``restart`` basis or leave the pass, and the
+    stack is inverted once more.  Only if that raises as well are the rows
+    inverted one at a time, each singular one restarted again.
+    """
+    every = np.arange(rows.size)[:, None]
+    sign, _ = np.linalg.slogdet(X[every, H[rows]])
+    kept = np.array([m for m, row in enumerate(rows.tolist()) if sign[m] != 0.0 or restart(row)], dtype=np.intp)
+    if kept.size == 0:
+        return kept, None
+    try:
+        return kept, np.linalg.inv(X[kept[:, None], H[rows[kept]]])
+    except np.linalg.LinAlgError:
+        pass
+    inv, still = [], []
+    for m in kept.tolist():
+        row = rows[m]
+        try:
+            inv.append(np.linalg.inv(X[m][H[row]]))
+        except np.linalg.LinAlgError:
+            if not restart(row):
+                continue
+            inv.append(np.linalg.inv(X[m][H[row]]))
+        still.append(m)
+    return np.array(still, dtype=np.intp), np.stack(inv) if inv else None
 
 
 def _ratio_test(X, r, pos, neg, inv_xh, viol, d_plus, d_minus, opt_tol, bland):

@@ -148,6 +148,11 @@ def test_c04_quantile_residual_counts():
     _line(4, True, f"sign-count bracket held on all {checked} fits")
 
 
+def _ols_line(ds):
+    """The least-squares line of ``ds`` at its xs: the center of its bands."""
+    return bl.ols_line_fitter(ds.xs)(ds.ys[None, :])[0]
+
+
 def test_c05_bootstrap_band_coverage():
     """Criterion 5: 80% band covers 70-90% of fresh points, 50 repetitions."""
     t0 = time.time()
@@ -157,7 +162,7 @@ def test_c05_bootstrap_band_coverage():
         data_rng = bl.RngSpec(5000 + rep)
         ys = 1.0 + 2.0 * xs + 0.5 * bl.standard_normal(data_rng.stream(0), 100)
         ds = bl.BivariateDataset.from_arrays(xs, ys)
-        band = bl.bootstrap_band(ds, bl.ols_line_fitter, 0.80, 2000, bl.RngSpec(rep))
+        band = bl.bootstrap_band(ds, _ols_line(ds), bl.ols_line_fitter, 0.80, 2000, bl.RngSpec(rep))
         fresh = 1.0 + 2.0 * xs + 0.5 * bl.standard_normal(data_rng.stream(999), 100)
         coverages.append(float(np.mean((fresh >= band.lower) & (fresh <= band.upper))))
     elapsed = time.time() - t0
@@ -175,7 +180,7 @@ def test_c06_bootstrap_determinism(tmp_path):
     ds = bl.generate(spec)
     files = []
     for name in ("a.csv", "b.csv"):
-        band = bl.bootstrap_band(ds, bl.ols_line_fitter, 0.8, 100, bl.RngSpec(42))
+        band = bl.bootstrap_band(ds, _ols_line(ds), bl.ols_line_fitter, 0.8, 100, bl.RngSpec(42))
         bl.compute_area(band)
         path = tmp_path / name
         write_band_csv(path, band)
@@ -203,8 +208,8 @@ def test_c07_band_area_correctness():
     ds = bl.generate(spec)
     ls = bl.fit_segmented(ds)
     bands = [
-        bl.bootstrap_band(ds, bl.ols_line_fitter, 0.8, 200, bl.RngSpec(1)),
-        *bl.plrm_prediction_band(ls, ds, [0.8]),
+        bl.bootstrap_band(ds, _ols_line(ds), bl.ols_line_fitter, 0.8, 200, bl.RngSpec(1)),
+        *bl.plrm_prediction_band(ls, [0.8]),
     ]
     q_fits = [fit_segmented_quantile(ds, t) for t in (0.1, 0.5, 0.9)]
     bands.append(bl.pqrm_prediction_band(q_fits, 0.8, ds))
@@ -267,7 +272,7 @@ def test_c09_method_comparison_tendency():
         pl_width = pl_iv["alpha2"][1] - pl_iv["alpha2"][0]
         interval_wins += table.alpha2_width < pl_width
         pq_band = bl.pqrm_prediction_band(fits, 0.80, ds)
-        (pl_band,) = bl.plrm_prediction_band(ls, ds, [0.80])
+        (pl_band,) = bl.plrm_prediction_band(ls, [0.80])
         area_wins += bl.band_area(pq_band) < bl.band_area(pl_band)
     ok = interval_wins >= 0.6 * seeds and area_wins >= 0.6 * seeds
     _line(

@@ -13,7 +13,7 @@ from breakline.bands import (
 )
 from breakline.area import band_area
 from breakline.dataset import BivariateDataset
-from breakline.loess import LoessConfig, loess_fitter
+from breakline.loess import LoessConfig, fit_loess, loess_fitter
 from breakline.piecewise import segmented_fitter
 from breakline.rng import RngSpec, standard_normal
 
@@ -26,11 +26,16 @@ def _line_dataset(n=30, noise=0.0, seed=0):
     return BivariateDataset.from_arrays(xs, ys)
 
 
+def _ols(ds):
+    """The least-squares line of ``ds`` at its xs: the center of its bands."""
+    return ols_line_fitter(ds.xs)(ds.ys[None, :])[0]
+
+
 def test_bootstrap_bands_check_gamma_and_B():
     ds = _line_dataset(noise=0.3)
 
     def bands(B, gamma):
-        return bootstrap_bands(ds, ols_line_fitter, [gamma], B, RngSpec(1))
+        return bootstrap_bands(ds, _ols(ds), ols_line_fitter, [gamma], B, RngSpec(1))
 
     with pytest.raises(BootstrapError, match=r"gamma must be in \(0, 1\), got 1.0"):
         bands(100, 1.0)
@@ -48,15 +53,15 @@ def test_bootstrap_bands_check_gamma_and_B():
 
 def test_zero_residuals_collapse_band():
     ds = _line_dataset(noise=0.0)
-    band = bootstrap_band(ds, ols_line_fitter, 0.8, 50, RngSpec(1))
+    band = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.8, 50, RngSpec(1))
     assert np.allclose(band.lower, band.center, atol=1e-12)
     assert np.allclose(band.upper, band.center, atol=1e-12)
 
 
 def test_deterministic_given_seed():
     ds = _line_dataset(noise=0.3)
-    a = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(7))
-    b = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(7))
+    a = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.8, 100, RngSpec(7))
+    b = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.8, 100, RngSpec(7))
     assert np.array_equal(a.lower, b.lower)
     assert np.array_equal(a.upper, b.upper)
     assert np.array_equal(a.center, b.center)
@@ -64,20 +69,20 @@ def test_deterministic_given_seed():
 
 def test_different_seeds_differ():
     ds = _line_dataset(noise=0.3)
-    a = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(1))
-    b = bootstrap_band(ds, ols_line_fitter, 0.8, 100, RngSpec(2))
+    a = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.8, 100, RngSpec(1))
+    b = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.8, 100, RngSpec(2))
     assert not np.array_equal(a.lower, b.lower)
 
 
 def test_quantile_ordering_and_center_not_required_inside():
     ds = _line_dataset(noise=0.5, seed=3)
-    band = bootstrap_band(ds, ols_line_fitter, 0.9, 200, RngSpec(3))
+    band = bootstrap_band(ds, _ols(ds), ols_line_fitter, 0.9, 200, RngSpec(3))
     assert np.all(band.lower <= band.upper)
 
 
 def test_gamma_monotone_nested_from_shared_pool():
     ds = _line_dataset(noise=0.4, seed=5)
-    narrow, wide = bootstrap_bands(ds, ols_line_fitter, [0.5, 0.95], 400, RngSpec(5))
+    narrow, wide = bootstrap_bands(ds, _ols(ds), ols_line_fitter, [0.5, 0.95], 400, RngSpec(5))
     assert np.all(wide.lower <= narrow.lower)
     assert np.all(narrow.upper <= wide.upper)
 
@@ -105,7 +110,8 @@ def test_tied_rows_share_one_envelope():
     xs = np.repeat(np.linspace(0.0, 1.0, 20), 2)
     ys = 1.0 + 2.0 * xs + 0.5 * standard_normal(RngSpec(8).stream(0), xs.size)
     ds = BivariateDataset.from_arrays(xs, ys)
-    band = bootstrap_band(ds, loess_fitter(LoessConfig(span=0.5, robust_iterations=2)), 0.9, 100, RngSpec(2))
+    config = LoessConfig(span=0.5, robust_iterations=2)
+    band = bootstrap_band(ds, fit_loess(ds, config).fitted, loess_fitter(config), 0.9, 100, RngSpec(2))
     assert np.array_equal(band.lower[::2], band.lower[1::2])
     assert np.array_equal(band.upper[::2], band.upper[1::2])
     swap = np.arange(xs.size).reshape(-1, 2)[:, ::-1].ravel()
@@ -116,50 +122,56 @@ def test_tied_rows_share_one_envelope():
 
 
 def _counting(fitter, fail_on=(), raise_type=ValueError):
-    """A block fitter that counts its calls and rows and raises on the
-    listed call numbers (1 is the center fit)."""
-    seen = {"calls": 0, "rows": 0}
+    """A fitter whose bound form counts its calls and rows and raises on
+    the listed call numbers (1 is the first block)."""
+    seen = {"binds": 0, "calls": 0, "rows": 0}
 
-    def fit(xs, Y):
-        seen["calls"] += 1
-        seen["rows"] += len(Y)
-        if seen["calls"] in fail_on:
-            raise raise_type("injected")
-        return fitter(xs, Y)
+    def bind(xs):
+        seen["binds"] += 1
+        fit_rows = fitter(xs)
 
-    return fit, seen
+        def fit(Y):
+            seen["calls"] += 1
+            seen["rows"] += len(Y)
+            if seen["calls"] in fail_on:
+                raise raise_type("injected")
+            return fit_rows(Y)
+
+        return fit
+
+    return bind, seen
 
 
 def test_retry_then_success():
     ds = _line_dataset(noise=0.2)
     # the block of replicates fails, then replicate 0 refit alone fails
     # twice more and recovers: three failures, as a per-replicate retry
-    flaky, seen = _counting(ols_line_fitter, fail_on=(2, 3, 4))
-    center, pool = predicted_residual_pool(ds, flaky, 10, RngSpec(4))
-    assert np.array_equal(center, ols_line_fitter(ds.xs, ds.ys[None, :])[0])
+    flaky, seen = _counting(ols_line_fitter, fail_on=(1, 2, 3))
+    pool = predicted_residual_pool(ds, _ols(ds), flaky, 10, RngSpec(4))
     assert pool.shape == (10, ds.n)
-    assert seen["calls"] == 1 + 1 + 3 + 9  # center, block, replicate 0 thrice, 1..9 alone
-    assert seen["rows"] == 1 + 10 + 3 + 9
+    assert seen["binds"] == 1
+    assert seen["calls"] == 1 + 3 + 9  # block, replicate 0 thrice, 1..9 alone
+    assert seen["rows"] == 10 + 3 + 9
     # the retries draw from replicate 0's stream only
-    _, clean = predicted_residual_pool(ds, ols_line_fitter, 10, RngSpec(4))
+    clean = predicted_residual_pool(ds, _ols(ds), ols_line_fitter, 10, RngSpec(4))
     assert np.array_equal(pool[1:], clean[1:])
     assert not np.array_equal(pool[0], clean[0])
 
 
 def test_abort_after_retries_reports_replicate():
     ds = _line_dataset(noise=0.2)
-    always_fail_after_first, seen = _counting(ols_line_fitter, fail_on=range(2, 100))
+    always_fail, seen = _counting(ols_line_fitter, fail_on=range(1, 100))
     with pytest.raises(BootstrapError, match="replicate 0"):
-        predicted_residual_pool(ds, always_fail_after_first, 5, RngSpec(1))
-    assert seen["calls"] == 1 + 1 + 11  # center, block, replicate 0 and its 10 retries
+        predicted_residual_pool(ds, _ols(ds), always_fail, 5, RngSpec(1))
+    assert seen["calls"] == 1 + 11  # block, replicate 0 and its 10 retries
 
 
 def test_fitter_bug_propagates_unchanged():
     ds = _line_dataset(noise=0.2)
-    buggy, seen = _counting(ols_line_fitter, fail_on=(2,), raise_type=TypeError)
+    buggy, seen = _counting(ols_line_fitter, fail_on=(1,), raise_type=TypeError)
     with pytest.raises(TypeError, match="injected"):
-        predicted_residual_pool(ds, buggy, 5, RngSpec(1))
-    assert seen["calls"] == 2  # the block raised; no replicate was refit alone or retried
+        predicted_residual_pool(ds, _ols(ds), buggy, 5, RngSpec(1))
+    assert seen["calls"] == 1  # the block raised; no replicate was refit alone or retried
 
 
 def test_fitter_bug_in_a_single_refit_propagates_unchanged():
@@ -168,17 +180,22 @@ def test_fitter_bug_in_a_single_refit_propagates_unchanged():
     # first of them meets the bug
     calls = {"n": 0}
 
-    def buggy(xs, Y):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise ValueError("fit failure")
-        if calls["n"] == 3:
-            raise TypeError("not a fit failure")
-        return ols_line_fitter(xs, Y)
+    def buggy(xs):
+        fit_rows = ols_line_fitter(xs)
+
+        def fit(Y):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise ValueError("fit failure")
+            if calls["n"] == 2:
+                raise TypeError("not a fit failure")
+            return fit_rows(Y)
+
+        return fit
 
     with pytest.raises(TypeError, match="not a fit failure"):
-        predicted_residual_pool(ds, buggy, 5, RngSpec(1))
-    assert calls["n"] == 3  # no retry
+        predicted_residual_pool(ds, _ols(ds), buggy, 5, RngSpec(1))
+    assert calls["n"] == 2  # no retry
 
 
 def test_band_shape_validation():
@@ -195,29 +212,34 @@ def test_band_shape_validation():
 def test_fitter_output_shape_checked():
     ds = _line_dataset()
     with pytest.raises(BootstrapError, match="one fitted value"):
-        bootstrap_band(ds, lambda xs, Y: np.zeros(3), 0.5, 10, RngSpec())
-    # a block of replicates is checked as well as the center fit
-    with pytest.raises(BootstrapError, match="one fitted value"):
-        bootstrap_band(ds, lambda xs, Y: Y if len(Y) == 1 else Y[:1], 0.5, 10, RngSpec())
+        bootstrap_band(ds, _ols(ds), lambda xs: lambda Y: np.zeros(3), 0.5, 10, RngSpec())
+    # the caller's center is checked as well, before any refit
+    with pytest.raises(BootstrapError, match="center must hold one fitted value"):
+        bootstrap_band(ds, _ols(ds)[:-1], ols_line_fitter, 0.5, 10, RngSpec())
 
 
 def test_ols_fitter_fits_each_row():
     ds = _line_dataset(noise=0.3)
     Y = np.stack([ds.ys, 3.0 - ds.xs, ds.ys[::-1]])
-    fitted = ols_line_fitter(ds.xs, Y)
+    fitted = ols_line_fitter(ds.xs)(Y)
     for ys, row in zip(Y, fitted):
         design = np.column_stack([np.ones_like(ds.xs), ds.xs])
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         assert np.allclose(row, design @ coef, rtol=0.0, atol=1e-12)
 
 
-def _row_rule_fitter(xs, Y):
+def _row_rule_fitter(xs):
     """OLS that fails on rows whose first response is low (two of the first
     draws below): which replicates fail depends on their draws only, never
     on the block they are in."""
-    if np.any(Y[:, 0] < 0.75):
-        raise ValueError("row rule")
-    return ols_line_fitter(xs, Y)
+    fit_rows = ols_line_fitter(xs)
+
+    def fit(Y):
+        if np.any(Y[:, 0] < 0.75):
+            raise ValueError("row rule")
+        return fit_rows(Y)
+
+    return fit
 
 
 @pytest.mark.parametrize(
@@ -233,10 +255,11 @@ def _row_rule_fitter(xs, Y):
 def test_pool_and_bands_do_not_depend_on_block_size(monkeypatch, fitter):
     ds = _line_dataset(n=40, noise=0.3, seed=2)
     results = []
+    center = _ols(ds)
     for block in (1, 7, bands._BLOCK):
         monkeypatch.setattr(bands, "_BLOCK", block)
-        center, pool = predicted_residual_pool(ds, fitter, 30, RngSpec(6))
-        lo, hi = bootstrap_bands(ds, fitter, [0.5, 0.9], 30, RngSpec(6))
-        results.append([center, pool, lo.lower, lo.upper, hi.lower, hi.upper])
+        pool = predicted_residual_pool(ds, center, fitter, 30, RngSpec(6))
+        lo, hi = bootstrap_bands(ds, center, fitter, [0.5, 0.9], 30, RngSpec(6))
+        results.append([pool, lo.lower, lo.upper, hi.lower, hi.upper])
     for other in results[1:]:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(results[0], other))

@@ -308,26 +308,39 @@ def test_compare_plrm_interval_uses_the_exact_tau_span(tmp_path):
 
 
 def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
+    import breakline.cli as cli_module
     import breakline.piecewise as piecewise
 
-    refits = []  # rows fitted per fitter call
-    factory = piecewise.segmented_fitter
+    refits = []  # rows fitted per call of a bound fitter
+    fits = []  # fit_segmented calls
+    factory, fit_segmented = piecewise.segmented_fitter, piecewise.fit_segmented
 
     def counting_factory(*args, **kwargs):
         fitter = factory(*args, **kwargs)
 
-        def counted(xs, Y):
-            refits.append(len(Y))
-            return fitter(xs, Y)
+        def bind(xs):
+            fit_rows = fitter(xs)
 
-        return counted
+            def counted(Y):
+                refits.append(len(Y))
+                return fit_rows(Y)
+
+            return counted
+
+        return bind
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return fit_segmented(*args, **kwargs)
 
     monkeypatch.setattr(piecewise, "segmented_fitter", counting_factory)
+    monkeypatch.setattr(cli_module, "fit_segmented", counting_fit)
     csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=10, n=40)
     outs = []
     for name in ("boot_a", "boot_b"):
         out = tmp_path / name
         refits.clear()
+        fits.clear()
         code = main(
             [
                 "plrm", "--input", str(csv_path), "--x", "x", "--y", "y", "--band-method", "bootstrap",
@@ -335,7 +348,9 @@ def test_plrm_bootstrap_bands_share_one_pool(tmp_path, monkeypatch):
             ]
         )
         assert code == 0
-        assert sum(refits) == 40 + 1  # the center fit and one refit per replicate, for both gammas
+        # one fit of the data, whose curve is the pool's center, and one
+        # refit per replicate, for both gammas
+        assert len(fits) == 1 and sum(refits) == 40
         outs.append(out)
     assert _dir_digest(outs[0]) == _dir_digest(outs[1])
 
@@ -593,6 +608,66 @@ _T_AND_F_PINS = {
         {"comparison.json": "b076f60aa072318fb6c67ae3504572b7910c67dd7ecd2f08c2b96ee6d312feb7"},
     ),
 }
+
+
+@pytest.mark.parametrize("B", [40, 200])
+def test_plrm_bootstrap_builds_the_design_profile_once_per_pool(tmp_path, monkeypatch, B):
+    """A ``plrm --band-method bootstrap`` command builds the x-only design
+    profile of the PLRM search three times, for the fit, the pool and the
+    intervals, whatever B, and its edge partners twice (the intervals
+    evaluate the profile at other positions)."""
+    import breakline.piecewise as piecewise
+
+    profile_class = piecewise._BreakpointProfile
+    builds = {"profile": 0, "edges": 0}
+    init, edge_search = profile_class.__init__, profile_class._edge_search
+
+    def counting_init(self, *args, **kwargs):
+        builds["profile"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_edge_search(self):
+        builds["edges"] += self._edges is None
+        return edge_search(self)
+
+    monkeypatch.setattr(profile_class, "__init__", counting_init)
+    monkeypatch.setattr(profile_class, "_edge_search", counting_edge_search)
+    data = _pin_input(tmp_path / "pin.csv")
+    argv = ["plrm", "--band-method", "bootstrap", "--bootstrap", str(B), "--input", str(data), "--x", "x", "--y", "y"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert builds["profile"] <= 3 and builds["edges"] <= 2, builds
+
+
+# band CSVs of the two bootstrap commands, recorded before the pool took its
+# center from the command's own fit: no band moved
+_BOOTSTRAP_BAND_PINS = {
+    "plrm": (
+        ["plrm", "--band-method", "bootstrap", "--bootstrap", "40"],
+        {
+            "band_gamma080.csv": "145b5a621fb513dc231cea82c3bec7613567cab0cdf48f5cb56f34ca79a5a282",
+            "band_gamma095.csv": "9063c1af350ba652c19889c5d393437193e379d4a7c18745fd954f370e6ecf66",
+        },
+    ),
+    "loess-band": (
+        ["loess-band", "--bootstrap", "40"],
+        {
+            "band_gamma080.csv": "82d4fc92580369b35c25835d61193af2fe8cd4d8caeb568fc65eb67bcf24e25b",
+            "band_gamma095.csv": "2ac00df07839e2d4ea21124b0294ab58d52e9199e3bad888356819ee2168169c",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_BOOTSTRAP_BAND_PINS))
+def test_bootstrap_bands_are_pinned_to_the_byte(tmp_path, command):
+    """The bootstrap band CSVs of ``plrm`` and ``loess-band``, byte for
+    byte: the replicates resample around the command's own fit."""
+    argv, pins = _BOOTSTRAP_BAND_PINS[command]
+    data = _pin_input(tmp_path / "pin.csv")
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(data), "--x", "x", "--y", "y", "--seed", "4", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
+    assert digests == pins
 
 
 @pytest.mark.parametrize("command", list(_T_AND_F_PINS))

@@ -241,7 +241,7 @@ def test_block_fit_matches_fit_loess_and_lstsq_reference(design, config):
         Y = np.round(2.0 * Y) / 2.0
     # a straight line is fit exactly, so its row stops after the first pass
     Y = np.vstack([Y[:2], 1.0 + 2.0 * xs, Y[2:]])
-    block = loess_fitter(config)(xs, Y)
+    block = loess_fitter(config)(xs)(Y)
     for ys, row in zip(Y, block):
         single = fit_loess(BivariateDataset.from_arrays(xs, ys), config).fitted
         assert np.allclose(row, single, rtol=1e-12, atol=0.0)
@@ -255,16 +255,16 @@ def test_block_with_a_singular_row_raises_like_that_row():
     singular = np.array([0.2, -0.25, 0.04, -0.06, 4.95, 5.41, -0.2, -0.02, -0.09, 0.33, 0.02, -0.03])
     others = 0.1 * np.random.default_rng(1).standard_normal((3, 12))
     config = LoessConfig(span=4 / 12, degree=1, robust_iterations=2)
-    fitter = loess_fitter(config)
+    fitter = loess_fitter(config)(xs)
     with pytest.raises(SingularFitError) as single:
         fit_loess(BivariateDataset.from_arrays(xs, singular), config)
     with pytest.raises(SingularFitError) as block:
-        fitter(xs, np.vstack([others[:1], singular, others[1:]]))
+        fitter(np.vstack([others[:1], singular, others[1:]]))
     assert single.value.target_x == block.value.target_x == 3.0
     assert "x=3.0:" in str(single.value) and str(single.value) == str(block.value)
     with pytest.raises(SingularFitError):
         _lstsq_reference(xs, singular, config)
-    fitted = fitter(xs, others)
+    fitted = fitter(others)
     for ys, row in zip(others, fitted):
         assert np.allclose(row, fit_loess(BivariateDataset.from_arrays(xs, ys), config).fitted, rtol=1e-12, atol=0.0)
         assert np.allclose(row, _lstsq_reference(xs, ys, config), rtol=1e-12, atol=1e-15)

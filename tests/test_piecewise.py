@@ -167,7 +167,7 @@ def test_block_fit_is_bit_identical_to_fit_segmented(case, n):
     Y = eval_segmented(TRUTH, xs) + 0.5 * (1.0 + 1.5 * xs) * gen.standard_normal((4, n))
     if case == "half-unit ties":
         Y = np.round(2.0 * Y) / 2.0
-    block = segmented_fitter()(xs, Y)
+    block = segmented_fitter()(xs)(Y)
     for ys, row in zip(Y, block):
         fit = fit_segmented(BivariateDataset.from_arrays(xs, ys))
         assert row.tobytes() == eval_segmented(fit.model, xs).tobytes()
@@ -352,20 +352,41 @@ def test_warm_search_allocates_no_grid_sized_temporaries():
     assert peak < 2.5e6, peak
 
 
+def test_bootstrap_band_peak_memory_is_bounded():
+    """A fit, a B = 2000 bootstrap band and the profile-F intervals at
+    n = 200 peak at 14.1-14.3 MB of Python allocations: the 3.2 MB pool and
+    the copy ``np.quantile`` makes of it, with the pool's design profile and
+    workspace released before the quantiles.  Holding them through the
+    quantiles would add about 9 MB."""
+    ds = _wedge_dataset("continuous", 200, [200, 3])
+    tracemalloc.start()
+    try:
+        fit = fit_segmented(ds)
+        plrm_prediction_band(fit, [0.80, 0.95], B=2000, seed=1, force_bootstrap=True)
+        breakpoint_intervals(fit, 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.3e6, peak
+
+
 def test_fitter_reused_across_designs_and_blocks_is_bit_identical():
-    """One fitter fed two designs alternately, in blocks of different sizes,
-    matches fresh fits: nothing leaks between rows through the workspace or
-    between calls through the fitter."""
+    """One fitter bound to two designs, each bound form fed blocks of
+    different sizes alternately with the other, matches fresh fits: nothing
+    leaks between rows or blocks through the workspace, or between designs
+    through the fitter."""
     designs = [_wedge_dataset("continuous", 60, [60, 1]), _wedge_dataset("repeated x", 80, [80, 2])]
     gen = np.random.default_rng(11)
     fitter = segmented_fitter()
+    bound = []
+    for ds in designs:
+        # the fitter takes xs in any order
+        order = gen.permutation(ds.n)
+        bound.append((ds.xs[order], ds.ys[order], fitter(ds.xs[order])))
     for size in (1, 5, 3, 1, 4, 2):
-        for ds in designs:
-            # the fitter takes xs in any order
-            order = gen.permutation(ds.n)
-            xs = ds.xs[order]
-            Y = ds.ys[order] + 0.3 * gen.standard_normal((size, ds.n))
-            block = fitter(xs, Y)
+        for xs, ys0, fit_rows in bound:
+            Y = ys0 + 0.3 * gen.standard_normal((size, xs.size))
+            block = fit_rows(Y)
             for ys, row in zip(Y, block):
                 fit = fit_segmented(BivariateDataset.from_arrays(xs, ys))
                 assert row.tobytes() == eval_segmented(fit.model, xs).tobytes()
@@ -377,14 +398,15 @@ def test_fitter_shared_between_threads_is_bit_identical():
     designs = [_wedge_dataset("continuous", 40, [40, 7]), _wedge_dataset("half-unit ties", 50, [50, 8])]
     gen = np.random.default_rng(12)
     blocks = [(ds.xs, ds.ys + 0.3 * gen.standard_normal((3, ds.n))) for ds in designs]
-    expected = [segmented_fitter()(xs, Y).tobytes() for xs, Y in blocks]
+    expected = [segmented_fitter()(xs)(Y).tobytes() for xs, Y in blocks]
     shared = segmented_fitter()
     results = {}
 
     def work(t):
         for r in range(6):
             i = (t + r) % 2
-            results[t, r] = shared(*blocks[i]).tobytes() == expected[i]
+            xs, Y = blocks[i]
+            results[t, r] = shared(xs)(Y).tobytes() == expected[i]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -628,14 +650,14 @@ def test_band_zero_noise_collapses():
     xs = np.linspace(0, 1, 60)
     ds = BivariateDataset.from_arrays(xs, eval_segmented(TRUTH, xs))
     fit = fit_segmented(ds)
-    (band,) = plrm_prediction_band(fit, ds, [0.80])
+    (band,) = plrm_prediction_band(fit, [0.80])
     assert np.max(band.upper - band.lower) < 1e-5
 
 
 def test_band_wider_at_sparse_edges():
     ds = _noisy(n=80, sigma=0.5, seed=6)
     fit = fit_segmented(ds)
-    (band,) = plrm_prediction_band(fit, ds, [0.80])
+    (band,) = plrm_prediction_band(fit, [0.80])
     half = band.upper - band.lower
     mid = len(half) // 2
     assert half[0] > half[mid]
@@ -645,25 +667,25 @@ def test_band_wider_at_sparse_edges():
 def test_band_gamma_monotonicity():
     ds = _noisy(n=60, sigma=0.5, seed=7)
     fit = fit_segmented(ds)
-    (b80,) = plrm_prediction_band(fit, ds, [0.80])
-    (b95,) = plrm_prediction_band(fit, ds, [0.95])
+    (b80,) = plrm_prediction_band(fit, [0.80])
+    (b95,) = plrm_prediction_band(fit, [0.95])
     assert np.all(b95.upper - b95.lower > b80.upper - b80.lower)
 
 
 def test_band_bootstrap_switch():
     ds = _noisy(n=30, sigma=0.5, seed=8)
     fit = fit_segmented(ds)
-    (band,) = plrm_prediction_band(fit, ds, [0.80], B=30, seed=1, force_bootstrap=True)
+    (band,) = plrm_prediction_band(fit, [0.80], B=30, seed=1, force_bootstrap=True)
     assert band.meta.get("bootstrap_fallback") is True
     assert np.all(band.lower <= band.upper)
     # both coefficients are read off one replicate pool, so the bands nest
-    b80, b95 = plrm_prediction_band(fit, ds, [0.80, 0.95], B=40, seed=1, force_bootstrap=True)
+    b80, b95 = plrm_prediction_band(fit, [0.80, 0.95], B=40, seed=1, force_bootstrap=True)
     assert np.all(b95.lower <= b80.lower) and np.all(b80.upper <= b95.upper)
     # B = 30 is too few for 0.95
     with pytest.raises(BootstrapError, match="too small"):
-        plrm_prediction_band(fit, ds, [0.80, 0.95], B=30, seed=1, force_bootstrap=True)
+        plrm_prediction_band(fit, [0.80, 0.95], B=30, seed=1, force_bootstrap=True)
     # the parametric band never resamples, so B is not checked against gamma
-    (parametric,) = plrm_prediction_band(fit, ds, [0.95], B=30, seed=1)
+    (parametric,) = plrm_prediction_band(fit, [0.95], B=30, seed=1)
     assert parametric.meta == {"kind": "parametric"}
 
 
