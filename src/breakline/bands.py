@@ -171,8 +171,18 @@ def bootstrap_bands(
 ) -> list[PredictionBand]:
     """Bands at several confidence coefficients around ``center``, the
     caller's fit of ``ds``, from one pool of ``B`` replicates drawn from
-    ``rng``.  Every gamma must lie in (0, 1), and ``B`` must leave two
-    replicates outside the widest band: ``B (1 - gamma) >= 2``."""
+    ``rng``.  The request must pass ``check_band_request``."""
+    check_band_request(gammas, B)
+    pool = predicted_residual_pool(ds, center, fitter, B, rng)
+    meta = {"seed": rng.seed}
+    return [band_from_pool(ds, center, pool, g, method=method, meta=meta) for g in gammas]
+
+
+def check_band_request(gammas, B: int) -> None:
+    """Raise BootstrapError unless every gamma lies in (0, 1) and ``B``
+    leaves two replicates outside the widest band: ``B (1 - gamma) >= 2``.
+    A caller that fits its center first checks here before that fit, so a
+    bad request fails the same way whatever the data."""
     for gamma in gammas:
         if not (0.0 < gamma < 1.0):
             raise BootstrapError(f"gamma must be in (0, 1), got {gamma}")
@@ -182,9 +192,6 @@ def bootstrap_bands(
         raise BootstrapError(
             f"B={B} is too small for gamma={widest}; need B >= 2/(1-gamma) = {2.0 / (1.0 - widest):.1f}"
         )
-    pool = predicted_residual_pool(ds, center, fitter, B, rng)
-    meta = {"seed": rng.seed}
-    return [band_from_pool(ds, center, pool, g, method=method, meta=meta) for g in gammas]
 
 
 def bootstrap_band(ds: BivariateDataset, center, fitter, gamma, B: int, rng: RngSpec, method="") -> PredictionBand:

@@ -15,7 +15,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from .area import AreaError, MethodIntervals, compare_methods, compute_area
-from .bands import BootstrapError, bootstrap_bands
+from .bands import BootstrapError, bootstrap_bands, check_band_request
 from .dataset import (
     BivariateDataset,
     DataError,
@@ -127,6 +127,8 @@ def _taus(args) -> list[float]:
 
 def _loess_bands(args, ds, gammas):
     """The BL bands: the residual bootstrap around the command's loess fit."""
+    # a bad gamma or B fails before the loess fit, whatever the data
+    check_band_request(gammas, args.bootstrap)
     config = LoessConfig(span=args.span, degree=args.degree, robust_iterations=args.robust_iters)
     center = fit_loess(ds, config).fitted
     return bootstrap_bands(ds, center, loess_fitter(config), gammas, args.bootstrap, RngSpec(args.seed), method="BL")

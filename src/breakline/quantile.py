@@ -270,29 +270,14 @@ def _restart_singular(X, H, rows, restart):
     One stacked LU (``slogdet``, the factorisation ``inv`` makes, with no
     product to underflow to a false zero) finds the rows with a zero pivot.
     Those rows take their ``restart`` basis or leave the pass, and the
-    stack is inverted once more.  Only if that raises as well are the rows
-    inverted one at a time, each singular one restarted again.
+    stack is inverted once more.
     """
     every = np.arange(rows.size)[:, None]
     sign, _ = np.linalg.slogdet(X[every, H[rows]])
     kept = np.array([m for m, row in enumerate(rows.tolist()) if sign[m] != 0.0 or restart(row)], dtype=np.intp)
     if kept.size == 0:
         return kept, None
-    try:
-        return kept, np.linalg.inv(X[kept[:, None], H[rows[kept]]])
-    except np.linalg.LinAlgError:
-        pass
-    inv, still = [], []
-    for m in kept.tolist():
-        row = rows[m]
-        try:
-            inv.append(np.linalg.inv(X[m][H[row]]))
-        except np.linalg.LinAlgError:
-            if not restart(row):
-                continue
-            inv.append(np.linalg.inv(X[m][H[row]]))
-        still.append(m)
-    return np.array(still, dtype=np.intp), np.stack(inv) if inv else None
+    return kept, np.linalg.inv(X[kept[:, None], H[rows[kept]]])
 
 
 def _ratio_test(X, r, pos, neg, inv_xh, viol, d_plus, d_minus, opt_tol, bland):

@@ -233,6 +233,29 @@ def test_gamma_outside_unit_interval_is_exit_3(tmp_path, argv, error_type, gamma
     assert record["message"] == f"gamma must be in (0, 1), got {float(gamma)}"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["loess-band", "--gamma", "1.5"], "gamma must be in (0, 1), got 1.5"),
+        (["loess-band", "--bootstrap", "20"], "B=20 is too small for gamma=0.95; need B >= 2/(1-gamma) = 40.0"),
+        (["compare", "--gamma", "0"], "gamma must be in (0, 1), got 0.0"),
+        (["compare", "--bootstrap", "5"], "B=5 is too small for gamma=0.8; need B >= 2/(1-gamma) = 10.0"),
+    ],
+    ids=["loess-band-gamma", "loess-band-B", "compare-gamma", "compare-B"],
+)
+def test_bad_band_request_wins_over_a_failing_loess_fit(tmp_path, argv, message):
+    """Three points cannot carry a local quadratic, but a bad gamma or B is
+    reported first, as the bootstrap's error, whatever the data."""
+    csv_path = tmp_path / "three.csv"
+    csv_path.write_text("x,y\n0.1,1.0\n0.5,2.0\n0.9,1.5\n", encoding="utf-8")
+    out = tmp_path / "badrequest"
+    code = main([*argv, "--input", str(csv_path), "--x", "x", "--y", "y", "--out", str(out)])
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == "BootstrapError"
+    assert record["message"] == message
+
+
 def test_partial_tau_rows_exit_4(tmp_path):
     csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=7, n=30)
     out = tmp_path / "partial"

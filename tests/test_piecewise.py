@@ -374,17 +374,20 @@ def test_fitter_reused_across_designs_and_blocks_is_bit_identical():
     """One fitter bound to two designs, each bound form fed blocks of
     different sizes alternately with the other, matches fresh fits: nothing
     leaks between rows or blocks through the workspace, or between designs
-    through the fitter."""
+    through the fitter.  Each block size also binds a fresh order of each
+    design, since the fitter takes xs in any order."""
     designs = [_wedge_dataset("continuous", 60, [60, 1]), _wedge_dataset("repeated x", 80, [80, 2])]
     gen = np.random.default_rng(11)
     fitter = segmented_fitter()
-    bound = []
-    for ds in designs:
-        # the fitter takes xs in any order
+
+    def permuted(ds):
         order = gen.permutation(ds.n)
-        bound.append((ds.xs[order], ds.ys[order], fitter(ds.xs[order])))
+        return ds.xs[order], ds.ys[order]
+
+    bound = [(xs, ys0, fitter(xs)) for xs, ys0 in map(permuted, designs)]
     for size in (1, 5, 3, 1, 4, 2):
-        for xs, ys0, fit_rows in bound:
+        fresh = [(xs, ys0, fitter(xs)) for xs, ys0 in map(permuted, designs)]
+        for xs, ys0, fit_rows in bound + fresh:
             Y = ys0 + 0.3 * gen.standard_normal((size, xs.size))
             block = fit_rows(Y)
             for ys, row in zip(Y, block):
