@@ -332,8 +332,10 @@ def contrast_inference(fit: SegmentedFit, contrast, name: str = "contrast") -> I
 class _Lines:
     """Least-squares lines of groups of points from their power sums.  The
     x sums are fixed at construction; :meth:`fit` takes the y sums and
-    returns ``(slope, intercept, explained)``, where ``explained`` is the sum
-    of squares of the fitted values.  Groups with fewer than two distinct x
+    returns ``(slope, ybar, explained)``, where ``ybar`` is the mean response
+    and ``explained`` the sum of squares of the fitted values; a group's
+    intercept is ``ybar - slope * xbar``, left to the caller so that it is
+    taken only where it is used.  Groups with fewer than two distinct x
     values give non-finite or meaningless values; callers mask them."""
 
     def __init__(self, n, sx, sxx):
@@ -347,29 +349,46 @@ class _Lines:
             ybar = sy / self.n
             sxy_c = sxy - self.sx * ybar
             slope = sxy_c / self.sxx_c
-            return slope, ybar - slope * self.xbar, sy * ybar + slope * sxy_c
+            return slope, ybar, sy * ybar + slope * sxy_c
 
 
 class _Partners:
     """The part of :meth:`_BreakpointProfile.rss` that depends on x alone, for
     standardised positions ``t`` of breakpoint ``which`` (0 or 1, per point)
-    lying in cells ``cell``: the partner cells not admissible with each, and
-    the base and partner-hinge cross products partialled through the base
-    Gram matrix of each distinct position."""
+    lying in cells ``cell``.
+
+    The partner cells admissible with a row form one run ``[first, stop)``
+    of cells, because ``q`` increases (:func:`_segment_cells`): for
+    breakpoint 0 in cell c every k with ``q_c + m <= q_k <= n - m``, for
+    breakpoint 1 in cell k every j with ``m <= q_j <= q_k - m``.  ``bounds``
+    holds each row's run as flat offsets into a (distinct positions x
+    cells) grid, interleaved for ``np.maximum.reduceat``; a row with an
+    empty run points both offsets one past the grid, at the trailing
+    ``-inf`` of the workspace's buffer.
+
+    Further, per distinct position: the base and partner-hinge cross
+    products partialled through the base Gram matrix, and the flat indices
+    of the grid entries whose edge or interior RSS reduction has too small
+    a denominator to use."""
 
     def __init__(self, profile: "_BreakpointProfile", which, t, cell):
-        cell = np.asarray(cell)
-        self.blocked = ~np.where(
-            np.asarray(which)[:, None] == 0, profile.admissible[cell, :], profile.admissible[:, cell].T
-        )
+        which, cell = np.asarray(which), np.asarray(cell)
+        n, q, m = profile.n, profile.q, profile.min_pts
+        q_own = q[cell]
+        first = np.searchsorted(q, np.where(which == 0, q_own + m, m), side="left")
+        stop = np.searchsorted(q, np.where(which == 0, n - m, q_own - m), side="right")
+        empty = (stop <= first) | np.where(which == 0, q_own < m, n - q_own < m)
+        self.first, self.stop = first, np.where(empty, first, stop)
         # (x - t)+ is the same column whichever side of t a point at t is
         # counted on, so the cell only matters through the partner set and
         # each distinct position is solved once
-        t, first, self.back = np.unique(np.asarray(t, dtype=float), return_index=True, return_inverse=True)
-        n = profile.n
+        t, at_first, self.back = np.unique(np.asarray(t, dtype=float), return_index=True, return_inverse=True)
+        cells = q.size
+        row = self.back * cells
+        self.bounds = np.where(empty[:, None], t.size * cells, np.column_stack([row + first, row + stop])).ravel()
 
         # base columns (1, x, (x - t)+) of every position
-        p = profile.q[cell[first]]
+        p = q[cell[at_first]]
         n_tail, s1, s2 = n - p, profile.suf1[p], profile.suf2[p]
         G = np.empty((t.size, 3, 3))
         G[:, 0, 0], G[:, 0, 1], G[:, 1, 1] = n, profile.Sx, profile.Sxx
@@ -387,9 +406,8 @@ class _Partners:
         # partner columns (x*I, I) of every cell k, with I the points above
         # it: their Gram entries, and their cross products with the base
         # columns partialled through G^-1
-        qk = profile.q
-        k0, k1, k2 = n - qk, profile.suf1[qk], profile.suf2[qk]
-        r = np.maximum(p[:, None], qk[None, :])
+        k0, k1, k2 = n - q, profile.suf1[q], profile.suf2[q]
+        r = np.maximum(p[:, None], q[None, :])
         tt = t[:, None]
         cross_x = (k1, k2, profile.suf2[r] - tt * profile.suf1[r])
         cross_1 = (k0, k1, profile.suf1[r] - tt * (n - r))
@@ -401,36 +419,39 @@ class _Partners:
         m22 = k0 - (cross_1[0] * h1[0] + cross_1[1] * h1[1] + cross_1[2] * h1[2])
         self.hx, self.h1, self.m11, self.m12, self.m22 = hx, h1, m11, m12, m22
 
-        # the denominators of the RSS reductions below, and where each is too
-        # small to use: along the partner hinge at each cell edge s, and of
-        # the interior stationary point
+        # the denominators of the RSS reductions below, and the few entries
+        # where each is too small to use: along the partner hinge at each
+        # cell edge s, and of the interior stationary point
         def quad(s, raw):
             q = m11 - 2.0 * s * m12 + s * s * m22
-            return q, ~(q > 1e-12 * raw)
+            return q, np.flatnonzero(~(q > 1e-12 * raw))
 
         self.lo, self.hi = profile.u[:-1], profile.u[1:]
         self.quad_lo, self.off_lo = quad(self.lo, k2 - 2.0 * self.lo * k1 + self.lo * self.lo * k0)
         self.quad_hi, self.off_hi = quad(self.hi, k2 - 2.0 * self.hi * k1 + self.hi * self.hi * k0)
         self.det = m11 * m22 - m12 * m12
-        self.det_ok = self.det > 1e-12 * m11 * m22
+        self.det_off = np.flatnonzero(~(self.det > 1e-12 * m11 * m22))
 
 
 class _Workspace:
     """Scratch arrays for the response half of
     :meth:`_BreakpointProfile._partner_rss` on one :class:`_Partners`: grids
-    over (distinct positions x partner cells), and the gains expanded to
-    (rows x partner cells).  A call overwrites them all, and
-    :meth:`_BreakpointProfile._tie_partners` reads that call's gains back,
-    so a workspace serves one response at a time, in one thread."""
+    over (distinct positions x partner cells).  ``flat_best`` is one flat
+    buffer with a trailing ``-inf``, and ``cell_best`` the grid view of all
+    but that entry; the interior gains live only at the flat indices ``at``
+    where the stationary point lies inside its cell, in ``gain_at``.  A
+    call overwrites them all, and :meth:`_BreakpointProfile._tie_partners`
+    reads that call's gains back, so a workspace serves one response at a
+    time, in one thread."""
 
     def __init__(self, P: _Partners):
-        rows, cells = P.blocked.shape
-        grid = (P.t.size, cells)
-        self.v1, self.v2, self.a, self.b, self.s_star, self.gain_lo, self.gain_in, self.gain_hi = np.empty(
-            (8, *grid)
-        )
+        grid = P.m11.shape
+        self.v1, self.v2, self.b, self.s_star, self.gain_lo, self.gain_hi = np.empty((6, *grid))
+        self.flat_best = np.empty(P.m11.size + 1)
+        self.flat_best[-1] = -np.inf
+        self.cell_best = self.flat_best[:-1].reshape(grid)
         self.inside, self.below_hi = np.empty((2, *grid), dtype=bool)
-        self.cell_gain = np.empty((rows, cells))
+        self.at = self.gain_at = None
 
 
 class _BreakpointProfile:
@@ -478,6 +499,7 @@ class _BreakpointProfile:
         self.suf2 = _suffix(self.std_xs * self.std_xs)
         self.Sx = float(self.suf1[0])
         self.Sxx = float(self.suf2[0])
+        self.min_pts = min_pts
         self.u_orig, self.q, self.admissible = _segment_cells(xs, min_pts)
         self.u = (self.u_orig - self.x0) / self.span
         self._edges = None
@@ -507,43 +529,49 @@ class _BreakpointProfile:
         return self._partner_rss(y, P, _Workspace(P))
 
     def _partner_rss(self, y: _ResponseSums, P: _Partners, work: _Workspace) -> np.ndarray:
+        """The profile RSS of every row of ``P`` for response ``y``: the best
+        partner gain over each row's run of admissible cells, taken as a
+        range maximum of the per-cell gains, which are written into
+        ``work``."""
         t, p, back = P.t, P.p, P.back
         w = np.stack([np.full(t.size, y.Sy), np.full(t.size, y.Sxy), y.sufxy[p] - t * y.sufy[p]], axis=1)
         rss_base = y.Syy - np.einsum("ei,eij,ej->e", w, P.G_inv, w)
-        wc = [w[:, i, None] for i in range(3)]
-        v1, v2, a, b, s_star = work.v1, work.v2, work.a, work.b, work.s_star
+        # the first two base cross products are the constants Sy and Sxy
+        wc = [y.Sy, y.Sxy, w[:, 2, None]]
+        v1, v2, a, b, s_star = work.v1, work.v2, work.cell_best, work.b, work.s_star
         np.subtract(y.sufxy[self.q], _dot3(wc, P.hx, v1, a), out=v1)
         np.subtract(y.sufy[self.q], _dot3(wc, P.h1, v2, a), out=v2)
 
         # RSS reduction (v.dir)^2 / (dir' M dir) along dir = (1, -s): the
         # partner hinge at s; at the two cell edges, and at the interior
         # stationary point when it falls inside the cell
-        m11, m12, m22, full = P.m11, P.m12, P.m22, work.gain_in
+        m11, m12, m22 = P.m11, P.m12, P.m22
         with np.errstate(divide="ignore", invalid="ignore"):
             edges = ((P.lo, P.quad_lo, P.off_lo, work.gain_lo), (P.hi, P.quad_hi, P.off_hi, work.gain_hi))
             for s, quad, off, gain in edges:
                 np.subtract(v1, np.multiply(s, v2, out=gain), out=gain)
                 np.divide(np.square(gain, out=gain), quad, out=gain)
-                np.copyto(gain, -np.inf, where=off)
+                np.put(gain, off, -np.inf)
             g = np.subtract(np.multiply(m22, v1, out=a), np.multiply(m12, v2, out=b), out=a)
             h = np.subtract(np.multiply(m11, v2, out=s_star), np.multiply(m12, v1, out=b), out=s_star)
             np.divide(np.negative(h, out=s_star), g, out=s_star)
-            # (m22 v1 v1 - 2 m12 v1 v2 + m11 v2 v2) / det, left to right
-            np.multiply(np.multiply(m22, v1, out=full), v1, out=full)
-            cross = np.multiply(np.multiply(np.multiply(2.0, m12, out=a), v1, out=a), v2, out=a)
-            np.subtract(full, cross, out=full)
-            np.add(full, np.multiply(np.multiply(m11, v2, out=a), v2, out=a), out=full)
-            np.divide(full, P.det, out=full)
-        inside, below_hi = work.inside, work.below_hi
-        np.logical_and(P.det_ok, np.less_equal(P.lo, s_star, out=inside), out=inside)
-        np.logical_and(inside, np.less_equal(s_star, P.hi, out=below_hi), out=inside)
-        np.copyto(full, -np.inf, where=np.logical_not(inside, out=inside))
-        # per partner cell, in increasing position: low edge, interior, high edge
-        cell_best = np.maximum(np.maximum(work.gain_lo, full, out=a), work.gain_hi, out=a)
-        # mode="clip" writes straight into out (the default mode buffers it)
-        cell_gain = np.take(cell_best, back, axis=0, out=work.cell_gain, mode="clip")
-        np.copyto(cell_gain, -np.inf, where=P.blocked)
-        best = cell_gain.max(axis=1)
+            inside, below_hi = work.inside, work.below_hi
+            np.less_equal(P.lo, s_star, out=inside)
+            np.logical_and(inside, np.less_equal(s_star, P.hi, out=below_hi), out=inside)
+            np.put(inside, P.det_off, False)
+            # the interior gain only where the stationary point lies in its
+            # cell: (m22 v1 v1 - 2 m12 v1 v2 + m11 v2 v2) / det, left to right
+            at = np.flatnonzero(inside)
+            v1_at, v2_at = v1.take(at), v2.take(at)
+            work.at, work.gain_at = at, (
+                (m22.take(at) * v1_at) * v1_at
+                - ((2.0 * m12.take(at)) * v1_at) * v2_at
+                + (m11.take(at) * v2_at) * v2_at
+            ) / P.det.take(at)
+        # per partner cell: the best of its low edge, interior and high edge
+        np.maximum(work.gain_lo, work.gain_hi, out=a)
+        np.put(a, at, np.maximum(a.take(at), work.gain_at))
+        best = np.maximum.reduceat(work.flat_best, P.bounds)[0::2]
         ok = P.base_ok[back] & np.isfinite(best)
         return np.where(ok, np.maximum(rss_base[back] - best, 0.0), np.inf)
 
@@ -552,12 +580,20 @@ class _BreakpointProfile:
         profile at rows ``rows`` of ``P``, from the gains the last
         :meth:`_partner_rss` call left in ``work``: the smallest position
         whose RSS is within ``y.tie`` of the row's least RSS.  Each row must
-        have a finite profile RSS."""
-        cell_gain = work.cell_gain[rows]
+        have a finite profile RSS.  Only these few rows expand their cell
+        gains to a masked (rows x cells) array."""
+        c = P.back[rows]
+        cells = np.arange(self.q.size)
+        in_run = (cells >= P.first[rows, None]) & (cells < P.stop[rows, None])
+        cell_gain = np.where(in_run, work.cell_best[c], -np.inf)
         tied = (cell_gain.max(axis=1) - y.tie)[:, None]
         k = np.argmax(cell_gain >= tied, axis=1)
-        c = P.back[rows]
-        gains = np.stack([gain[c, k] for gain in (work.gain_lo, work.gain_in, work.gain_hi)], axis=1)
+        # the interior gain of entry (c, k) where its stationary point lies
+        # inside the cell, found in work.at; -inf elsewhere
+        inside = work.inside[c, k]
+        gain_in = np.full(c.size, -np.inf)
+        gain_in[inside] = work.gain_at[np.searchsorted(work.at, (c * self.q.size + k)[inside])]
+        gains = np.stack([work.gain_lo[c, k], gain_in, work.gain_hi[c, k]], axis=1)
         spot = np.argmax(gains >= tied, axis=1)
         return np.where(
             spot == 0,
@@ -587,20 +623,25 @@ class _BreakpointProfile:
             sums = np.stack([self.n - p, self.suf1[p], self.suf2[p]])
             total, tail = sums[:, :1], sums[:, 1:]
             lines = (_Lines(*(total - tail)), _Lines(*(tail[:, j] - tail[:, k])), _Lines(*tail))
-            self._splits = p, j, k, lines
+            # j is sorted, so a value per cell j expands to the splits by
+            # repeating it over the cell's run of splits
+            self._splits = p, j, k, np.bincount(j, minlength=c.size), lines
         # the three lines of each admissible split (j, k)
-        p, j, k, (lines1, lines2, lines3) = self._splits
+        p, j, k, j_runs, (lines1, lines2, lines3) = self._splits
         sy, sxy = y.sufy[p], y.sufxy[p]
         tail_y, tail_xy = sy[1:], sxy[1:]
-        m1, c1, e1 = lines1.fit(sy[0] - tail_y, sxy[0] - tail_xy)
-        m2, c2, e2 = lines2.fit(tail_y[j] - tail_y[k], tail_xy[j] - tail_xy[k])
-        m3, c3, e3 = lines3.fit(tail_y, tail_xy)
-        rss = y.Syy - (e1[j] + e2 + e3[k])
+        m1, ybar1, e1 = lines1.fit(sy[0] - tail_y, sxy[0] - tail_xy)
+        m2, ybar2, e2 = lines2.fit(np.repeat(tail_y, j_runs) - tail_y[k], np.repeat(tail_xy, j_runs) - tail_xy[k])
+        m3, ybar3, e3 = lines3.fit(tail_y, tail_xy)
+        rss = y.Syy - (np.repeat(e1, j_runs) + e2 + e3[k])
         near = np.nonzero(rss <= rss_max)[0]
-        j, k, m2, c2, rss = j[near], k[near], m2[near], c2[near], rss[near]
+        j, k, m2, rss = j[near], k[near], m2[near], rss[near]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (c2 - c1[j]) / (m1[j] - m2)
-            t2 = (c3[k] - c2) / (m2 - m3[k])
+            c1 = ybar1[j] - m1[j] * lines1.xbar[j]
+            c2 = ybar2[near] - m2 * lines2.xbar[near]
+            c3 = ybar3[k] - m3[k] * lines3.xbar[k]
+            t1 = (c2 - c1) / (m1[j] - m2)
+            t2 = (c3 - c2) / (m2 - m3[k])
         lo, hi = u[:-1], u[1:]
         ok = (lo[j] < t1) & (t1 < hi[j]) & (lo[k] < t2) & (t2 < hi[k])
         return t1[ok], t2[ok], rss[ok]

@@ -598,13 +598,13 @@ def test_comma_list_led_by_a_negative_value(tmp_path):
     assert written[0] == written[1]
 
 
-def _pin_input(path: Path) -> Path:
-    """A fixed labelled 40-point input: the criterion-1 truth plus Gaussian
+def _pin_input(path: Path, n: int = 40) -> Path:
+    """A fixed labelled n-point input: the criterion-1 truth plus Gaussian
     noise of sd 0.5 on sorted uniform x, from the test's own generator."""
     gen = np.random.default_rng(1969)
-    x = np.sort(gen.uniform(0.0, 1.0, 40))
-    y = 10.0 - 5.0 * np.maximum(x - 0.3, 0.0) + 5.0 * np.maximum(x - 0.6, 0.0) + 0.5 * gen.standard_normal(40)
-    site = np.where(gen.uniform(size=40) < 0.5, "A", "B")
+    x = np.sort(gen.uniform(0.0, 1.0, n))
+    y = 10.0 - 5.0 * np.maximum(x - 0.3, 0.0) + 5.0 * np.maximum(x - 0.6, 0.0) + 0.5 * gen.standard_normal(n)
+    site = np.where(gen.uniform(size=n) < 0.5, "A", "B")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "site"])
@@ -705,3 +705,25 @@ def test_t_and_f_outputs_are_pinned_to_the_byte(tmp_path, command):
     assert main([*argv, "--input", str(data), "--x", "x", "--y", "y", "--seed", "4", "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
     assert digests == pins
+
+
+# the benchmark's PLRM command on a 200-point input, where the profile-F
+# shrink and the three-line scan see many cells; recorded at commit 763deaa
+_PLRM_BOOTSTRAP_N200_PINS = {
+    "band_gamma080.csv": "52214bb69b6e35d3ae6cc7f20b38dd6e5dbc3d1bc1d0e59c130507a04ed24da0",
+    "band_gamma095.csv": "8f24d0f6b0e4a83b3d5e61c51e5779dcad859104ceb40b50372224cca14e75b3",
+    "summary.json": "28462daa9cb251b260883440b239344d1ac23412931f2aa7f071aabbc240231d",
+    "fit_report.json": "113375ba4ff84ee6b5de4d4e035a3f3ee65fa095ade0170fc86f5dae4c169317",
+}
+
+
+def test_plrm_bootstrap_at_n200_is_pinned_to_the_byte(tmp_path):
+    """``plrm --band-method bootstrap --bootstrap 40`` at n = 200, byte for
+    byte: both bootstrap bands, the profile-F ends in ``summary.json`` and
+    the Wald rows."""
+    data = _pin_input(tmp_path / "pin.csv", n=200)
+    out = tmp_path / "out"
+    argv = ["plrm", "--band-method", "bootstrap", "--bootstrap", "40", "--input", str(data), "--x", "x", "--y", "y"]
+    assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PLRM_BOOTSTRAP_N200_PINS}
+    assert digests == _PLRM_BOOTSTRAP_N200_PINS

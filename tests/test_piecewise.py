@@ -352,6 +352,151 @@ def test_warm_search_allocates_no_grid_sized_temporaries():
     assert peak < 2.5e6, peak
 
 
+def _dense_partner_rss(profile, y, P, which, cell):
+    """The response half of the search as it was before the range maximum:
+    every gain on the full (positions x cells) grid, interior gains
+    included, expanded to (rows x cells), masked by the admissible set and
+    reduced.  Returns the profile RSS and the grids the tie rule reads."""
+    blocked = ~np.where(which[:, None] == 0, profile.admissible[cell, :], profile.admissible[:, cell].T)
+    t, p, back, q = P.t, P.p, P.back, profile.q
+    w = np.stack([np.full(t.size, y.Sy), np.full(t.size, y.Sxy), y.sufxy[p] - t * y.sufy[p]], axis=1)
+    rss_base = y.Syy - np.einsum("ei,eij,ej->e", w, P.G_inv, w)
+    wc = [w[:, i, None] for i in range(3)]
+    v1 = y.sufxy[q] - (wc[0] * P.hx[0] + wc[1] * P.hx[1] + wc[2] * P.hx[2])
+    v2 = y.sufy[q] - (wc[0] * P.h1[0] + wc[1] * P.h1[1] + wc[2] * P.h1[2])
+    m11, m12, m22 = P.m11, P.m12, P.m22
+    k0, k1, k2 = profile.n - q, profile.suf1[q], profile.suf2[q]
+    lo, hi = profile.u[:-1], profile.u[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_gains = []
+        for s in (lo, hi):
+            quad = m11 - 2.0 * s * m12 + s * s * m22
+            gain = np.square(v1 - s * v2) / quad
+            gain[~(quad > 1e-12 * (k2 - 2.0 * s * k1 + s * s * k0))] = -np.inf
+            edge_gains.append(gain)
+        s_star = -(m11 * v2 - m12 * v1) / (m22 * v1 - m12 * v2)
+        det = m11 * m22 - m12 * m12
+        gain_in = (m22 * v1 * v1 - 2.0 * m12 * v1 * v2 + m11 * v2 * v2) / det
+    gain_in[~((det > 1e-12 * m11 * m22) & (lo <= s_star) & (s_star <= hi))] = -np.inf
+    gain_lo, gain_hi = edge_gains
+    cell_gain = np.maximum(np.maximum(gain_lo, gain_in), gain_hi)[back]
+    cell_gain[blocked] = -np.inf
+    best = cell_gain.max(axis=1)
+    rss = np.where(P.base_ok[back] & np.isfinite(best), np.maximum(rss_base[back] - best, 0.0), np.inf)
+    return rss, blocked, cell_gain, (gain_lo, gain_in, gain_hi), s_star
+
+
+def _dense_tie_partners(profile, y, P, dense, rows):
+    """The tie rule on the grids of :func:`_dense_partner_rss`."""
+    _, _, cell_gain, grids, s_star = dense
+    cell_gain = cell_gain[rows]
+    tied = (cell_gain.max(axis=1) - y.tie)[:, None]
+    k = np.argmax(cell_gain >= tied, axis=1)
+    c = P.back[rows]
+    spot = np.argmax(np.stack([grid[c, k] for grid in grids], axis=1) >= tied, axis=1)
+    inner = profile.x0 + profile.span * s_star[c, k]
+    return np.where(spot == 0, profile.u_orig[k], np.where(spot == 2, profile.u_orig[k + 1], inner))
+
+
+def _seed_101_input():
+    """``plrm-boot-n200`` seed 101, command 10 of the benchmark
+    (``perfbench/workloads.py``): six x values packed in 0.0106-0.0124."""
+    gen = np.random.default_rng([101, 0, 10])
+    xs = np.sort(gen.uniform(0.0, 1.0, 200))
+    return BivariateDataset.from_arrays(xs, eval_segmented(TRUTH, xs) + 0.5 * gen.standard_normal(200))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["continuous-200", "continuous-200-min5", "half-unit ties", "repeated x", "noiseless", "n400", "seed 101"],
+)
+def test_range_maximum_search_matches_the_dense_search(case):
+    """The search's response half, which takes each row's best partner as a
+    range maximum over its run of admissible cells and the interior gain
+    only where the stationary point lies in its cell, gives the profile and
+    the tied partners of the dense expand, mask and reduce to the bit, at
+    every admissible cell edge of both breakpoints and at cells with no
+    admissible partner at all."""
+    from breakline.piecewise import _design_profile, _Partners, _Workspace
+
+    min_pts = 5 if case.endswith("min5") else 3
+    if case == "seed 101":
+        ds = _seed_101_input()
+    elif case == "noiseless":
+        xs = np.sort(np.random.default_rng(9).uniform(0, 1, 80))
+        ds = BivariateDataset.from_arrays(xs, eval_segmented(TRUTH, xs))
+    elif case == "n400":
+        ds = _wedge_dataset("continuous", 400, [400, 6])
+    else:
+        kind = case if case in ("half-unit ties", "repeated x") else "continuous"
+        ds = _wedge_dataset(kind, 200 if case != "repeated x" else 120, [200, 7])
+    profile = _design_profile(ds.xs, min_pts)
+    y = profile.response(ds.ys)
+    (cell0, edge0), (cell1, edge1) = profile.edges(0), profile.edges(1)
+    # every admissible cell edge, plus every cell of each breakpoint at its
+    # midpoint, which includes cells without an admissible partner
+    every = np.arange(profile.q.size)
+    which = np.concatenate([np.zeros(edge0.size + every.size, int), np.ones(edge1.size + every.size, int)])
+    cell = np.concatenate([cell0, every, cell1, every])
+    mid = (profile.u[:-1] + profile.u[1:]) / 2.0
+    t = np.concatenate([profile.u[edge0], mid, profile.u[edge1], mid])
+    P = _Partners(profile, which, t, cell)
+    assert P.off_lo.size and P.off_hi.size and P.det_off.size, case
+    work = _Workspace(P)
+    rss = profile._partner_rss(y, P, work)
+    dense = _dense_partner_rss(profile, y, P, which, cell)
+    assert np.array_equal(rss, dense[0]), case
+    # the per-cell gains themselves, where the masks fall outside every run
+    gain_lo, gain_in, gain_hi = dense[3]
+    assert np.array_equal(work.gain_lo, gain_lo) and np.array_equal(work.gain_hi, gain_hi), case
+    assert np.array_equal(work.at, np.flatnonzero(gain_in > -np.inf)), case
+    assert np.array_equal(work.gain_at, gain_in.ravel()[work.at]), case
+    assert np.isinf(rss).any(), case
+    assert np.array_equal(profile.rss(y, which, t, cell), rss), case
+    # each row's admissible partners are the run [first, stop)
+    for r, blocked in enumerate(dense[1]):
+        assert np.array_equal(np.flatnonzero(~blocked), np.arange(P.first[r], P.stop[r])), (case, r)
+    rows = np.flatnonzero(np.isfinite(rss))
+    tied = profile._tie_partners(y, P, work, rows)
+    assert np.array_equal(tied, _dense_tie_partners(profile, y, P, dense, rows)), case
+
+
+def test_direct_rss_without_an_admissible_partner_is_inf():
+    """A position whose cell admits no partner profiles to +inf: its run of
+    partner cells is empty and reduces to the workspace's trailing -inf."""
+    from breakline.piecewise import _design_profile
+
+    ds = _wedge_dataset("continuous", 60, [60, 2])
+    profile = _design_profile(ds.xs, 3)
+    y = profile.response(ds.ys)
+    last = profile.q.size - 1
+    # breakpoint 0 in the first cell and in the last; breakpoint 1 in the first
+    which, cell = np.array([0, 0, 1, 0]), np.array([0, last, 0, 10])
+    t = (profile.u[cell] + profile.u[cell + 1]) / 2.0
+    rss = profile.rss(y, which, t, cell)
+    assert np.isposinf(rss[:3]).all() and np.isfinite(rss[3]), rss
+
+
+def test_design_profile_and_workspace_hold_under_7_5_mb():
+    """The x-only search state at n = 200, its design profile with edge
+    partners plus one workspace, holds 6.14 MB of Python allocations: each
+    (positions x cells) grid is 0.3 MB.  Expanding the gains to (edge rows
+    x cells) with a blocked-partner mask, and a dense interior-gain grid,
+    held 7.91 MB."""
+    from breakline.piecewise import _design_profile
+
+    ds = _wedge_dataset("continuous", 200, [200, 3])
+    tracemalloc.start()
+    try:
+        profile = _design_profile(ds.xs, 3)
+        work = profile.workspace()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert work.cell_best.shape == profile._edge_search()[2].m11.shape
+    assert held < 7.5e6, held
+
+
 def test_bootstrap_band_peak_memory_is_bounded():
     """A fit, a B = 2000 bootstrap band and the profile-F intervals at
     n = 200 peak at 14.1-14.3 MB of Python allocations: the 3.2 MB pool and
