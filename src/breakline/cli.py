@@ -122,7 +122,8 @@ def _gammas(args, default=(0.80, 0.95)) -> list[float]:
 
 
 def _taus(args) -> list[float]:
-    return _parse_floats(args.tau_grid, None, "tau") if args.tau_grid else list(DEFAULT_TAU_GRID)
+    """The tau grid, checked before any fit runs."""
+    return check_tau_grid(_parse_floats(args.tau_grid, None, "tau")) if args.tau_grid else list(DEFAULT_TAU_GRID)
 
 
 def _loess_bands(args, ds, gammas):
@@ -252,7 +253,6 @@ def _pqrm_pieces(ds, taus, gamma, min_seg_points):
 
     The band's taus are fitted in the grid's sweep; the interval
     table uses the grid's taus only."""
-    check_tau_grid(taus)
     band_taus = pqrm_band_taus(gamma)
     sweep, sweep_failures = fit_tau_grid(ds, sorted(set(taus) | set(band_taus)), min_segment_points=min_seg_points)
     failed = dict(sweep_failures)

@@ -16,17 +16,26 @@ pinned at zero off the basis, as tied responses produce) it can stop short of
 a pair's optimum, and the fit can then miss the grid optimum.  It is not
 optimal over the continuum of breakpoint pairs (ROADMAP.md, item 6).
 
-A tau grid is fitted in one sweep in which every tau walks the candidate
-pairs, and then its own refinement pairs, at its own pace, each pair
-warm-started from the basis the tau ended the pair before with.  Each
-simplex pass stacks one row per tau still sweeping, on the hinge columns of
-that tau's current pair: every basis-dependent step runs once over the
-stack, and only the ratio test of a pivoting tau runs on its own.  A tau
-whose warm basis is optimal moves on to its next pair while another one
-pivots, so a sweep takes as many passes as its busiest tau needs, not the
-sum over pairs of the most pivots any tau takes there.  Each tau keeps its
-own pass count, warm start and incumbent, so its fit is byte-identical to
-fitting that tau alone.
+A tau's fit is defined by its sequential chain: it walks the candidate
+pairs, and then its own refinement pairs, each pair warm-started from the
+basis the pair before ended with.  A pair's outcome depends only on the
+tau, the pair and the basis it is entered with, so a tau grid is fitted
+in one sweep that runs each chain speculatively (in the manner of the
+LRPD test, Rauchwerger & Padua 1995).  Each tau's candidate list is cut
+into ``ceil(_STACK_ROWS / taus)`` contiguous segments, walked side by side,
+each from the QR basis of its first pair, recording the basis it enters
+every pair with.  A verifier per tau then walks the list from its start:
+where it enters a pair with the basis its segment recorded there, the rest
+of that segment is exactly the sequential chain and it jumps to the
+segment's end; elsewhere it solves the pair itself.  Each simplex pass
+stacks one row per walk still running (segments, verifiers and
+refinements of every tau), on the hinge columns of that walk's current
+pair: every basis-dependent step runs once over the stack, and only the
+ratio test of a pivoting row runs on its own.  A row whose warm basis is
+optimal moves on to its next pair while another one pivots.  Each row
+keeps its own pass count and warm start, and the incumbent is the
+lexicographic minimum of ``(objective, a1, a2)`` over the verified
+outcomes, so each tau's fit is byte-identical to walking its chain alone.
 
 The spread of breakpoint estimates across a tau grid doubles as a simple
 interval: the smallest and largest estimates over taus ``t_min..t_max`` are
@@ -36,7 +45,10 @@ frequentist procedure.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +68,9 @@ DEFAULT_TAU_GRID = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
 
 _PIVOT_BUDGET = 2000
 _BLAND_AFTER = 400
+# rows per simplex pass the tau sweep aims for: each of K taus walks its
+# candidate grid as ceil(_STACK_ROWS / K) segments side by side
+_STACK_ROWS = 36
 # points per breakpoint in the grid of the local refinement
 _REFINE_POINTS = 9
 
@@ -219,13 +234,13 @@ def _simplex_pass(X, y, tau, H, rows, ztol, bland, restart):
     b = np.matmul(inv, y[h][:, :, None])[:, :, 0]
     G = np.matmul(X, inv)
     r = y - np.matmul(X, b[:, :, None])[:, :, 0]
+    objective = (r * (t - (r < 0.0))).sum(axis=1)
     # the basis points' residuals are zero up to rounding; NaN keeps
     # them out of every sign class below
-    r_off = r.copy()
-    r_off[every, h] = np.nan
-    neg = r_off < -ztol
-    pos = r_off > ztol
-    zero = np.abs(r_off) <= ztol
+    r[every, h] = np.nan
+    neg = r < -ztol
+    pos = r > ztol
+    zero = np.abs(r) <= ztol
     # Fixed-sign contributions plus the exact worst-case rates of points
     # pinned at zero: moving along +d_j flips a zero point to whichever
     # side costs more, so the true one-sided derivatives are
@@ -235,24 +250,29 @@ def _simplex_pass(X, y, tau, H, rows, ztol, bland, restart):
     t1 = t - 1.0
     psi = np.where(neg, t1, t * pos)
     s_fixed = np.matmul(G.transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
+    del psi
+    opt_tol = 1e-10 * (1.0 + np.abs(G).sum(axis=(1, 2)))
     s_min = s_max = s_fixed
     pinned = zero.any(axis=0).nonzero()[0]
     if pinned.size:
         # The sums over Z run in point order over the points pinned in
         # any row; a point not pinned in a row adds an exact zero to it.
-        gz = np.where(zero[:, pinned, None], G[:, pinned], 0.0)
-        lo = t[:, :, None] * gz
-        hi = t1[:, :, None] * gz
+        # The products are formed in place and G is dropped once its
+        # pinned points are taken, so that the pass holds at most three
+        # (rows, n, p) arrays at a time.
+        hi = G[:, pinned]
+        del G
+        hi[~zero[:, pinned]] = 0.0
+        lo = t[:, :, None] * hi
+        np.multiply(t1[:, :, None], hi, out=hi)
         s_min = s_fixed + np.minimum(lo, hi).sum(axis=1)
-        s_max = s_fixed + np.maximum(lo, hi).sum(axis=1)
-    opt_tol = 1e-10 * (1.0 + np.abs(G).sum(axis=(1, 2)))
+        s_max = s_fixed + np.maximum(lo, hi, out=lo).sum(axis=1)
     d_plus = (1.0 - t) - s_min
     d_minus = t + s_max
     viol = np.maximum(-d_plus, -d_minus)
     settled = viol.max(axis=1) <= opt_tol
-    objective = (r * (t - (r < 0.0))).sum(axis=1)
     for m in (~settled).nonzero()[0]:
-        enter = _ratio_test(X[m], r_off[m], pos[m], neg[m], inv[m], viol[m], d_plus[m], d_minus[m],
+        enter = _ratio_test(X[m], r[m], pos[m], neg[m], inv[m], viol[m], d_plus[m], d_minus[m],
                             opt_tol[m], bland[m])
         if enter is None:
             settled[m] = True
@@ -364,7 +384,9 @@ def fit_segmented_quantile(ds: BivariateDataset, tau: float, min_segment_points:
     LP on the basis ``(1, x, (x-a1)+, (x-a2)+)``.  One local refinement then
     searches a finer sub-grid between the incumbent's neighboring candidates;
     the refined optimum can only improve on the coarse one.  This is the
-    sweep of :func:`fit_tau_grid` with one tau.
+    sweep of :func:`fit_tau_grid` with one tau, whose candidate list is
+    walked as ``_STACK_ROWS`` segments side by side and then verified
+    against the sequential chain of warm starts.
 
     Raises
     ------
@@ -387,14 +409,15 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
 
     The data pass the least-squares fitter's checks first, whose
     :class:`~breakline.piecewise.SegmentedError` fails the whole grid.  Each
-    tau walks the candidate grid (one list, shared by every tau) and then
-    its own refinement list at its own pace, starting from the QR basis at
-    the first pair and warm-starting every later pair from the basis it
-    ended the pair before with.  Each simplex pass stacks one row per tau
-    still sweeping, on the hinge columns of that tau's current pair: a tau
-    whose warm basis is optimal moves on while another one pivots.  A tau's
-    pass count, warm start, incumbent and failure count are its own, so its
-    fit is the one it would get alone.
+    tau's fit is that of its sequential chain over the candidate grid (one
+    list, shared by every tau) and then its own refinement list, from the
+    QR basis at the first pair, run speculatively as the module docstring
+    describes: ``ceil(_STACK_ROWS / taus)`` segments per tau, then a
+    verifier, whose exit basis starts the refinement.  A grid pair that
+    stays the incumbent is solved once more from its recorded entry basis
+    for its coefficients.  Every walk is one row of the stacked simplex
+    pass and keeps its own pass count and basis, so a pair's outcome is the
+    one it gets alone.
     """
     xs, ys = ds.xs, ds.ys
     profile = _design_profile(xs, min_segment_points)
@@ -415,107 +438,176 @@ def _fit_taus(ds: BivariateDataset, taus: Sequence[float], min_segment_points: i
         return out
     # the candidate grid: the midpoints of every admissible pair of cells
     mids = (u[:-1] + u[1:]) / 2.0
-    i_idx, j_idx = np.nonzero(admissible)
-    mid, first, second = mids.tolist(), i_idx.tolist(), j_idx.tolist()
+    mid = mids.tolist()
+    # the cells of each pair, in int32 arrays: half the memory of lists
+    first, second = (array("i", cells.tolist()) for cells in np.nonzero(admissible))
     hinge = np.maximum(xs - mids[:, None], 0.0)  # the hinge column of each midpoint
     n_grid = len(first)
     K = len(live)
-    levels = np.asarray(taus, dtype=float)[live]
-    # Per tau k: the design of its current pair (only the hinge columns
-    # change), its basis, the basis it entered the pair with, its passes at
-    # the pair, the pair, its place in the grid and then in its refinement
-    # list, and where its current list ends.
-    X = np.empty((K, xs.size, 4))
+    C = min(-(-_STACK_ROWS // K), n_grid)  # segments per tau
+    bounds = [c * n_grid // C for c in range(C + 1)]
+    # Row s = k C + c walks segment c of tau k and then, if it is the last
+    # of them to finish, that tau's verifier and refinement.  Per row: its
+    # basis, its passes at its current pair and the coefficients of its
+    # last optimal pair.  A row whose walk ends never starts again, so the
+    # designs of the current pairs (only the hinge columns change) and the
+    # levels are stacked over the rows still walking, row s at place[s].
+    S = K * C
+    rows = np.arange(S)
+    place = list(range(S))
+    level = np.repeat(np.asarray(taus, dtype=float)[live], C)
+    X = np.empty((S, xs.size, 4))
     X[:, :, 0] = 1.0
     X[:, :, 1] = xs
-    H = np.full((K, 4), -1, dtype=np.intp)  # a -1 row has no basis yet
-    warm = H.copy()
-    passes = [0] * K
-    pair: list = [None] * K
-    at = [-1] * K
-    stop = [n_grid] * K
-    refine: list = [None] * K
-    best: list = [None] * K  # per tau: (objective, a1, a2)
-    beta = np.zeros((K, 4))
-    failures = [0] * K
-    sweeping = np.ones(K, dtype=bool)
+    H = np.full((S, 4), -1, dtype=np.intp)  # a -1 row has no basis yet
+    passes = [0] * S
+    solved: list = [None] * S
+    # Per tau and pair, the basis it was entered with; per row, the basis
+    # its segment ended with, the suffix minima of (objective, pair) over
+    # the segment, and the segment's pairs that spent the pivot budget.
+    entry = np.empty((K, n_grid, 4), dtype=np.min_scalar_type(-xs.size))
+    exits = H.copy()
+    minima: list = [[] for _ in range(S)]
+    spent_at: list = [[] for _ in range(S)]
+    unfinished = [C] * K
+    spent = object()  # the outcome of a pair that spent the pivot budget
     ztol = _zero_tol(ys)
 
-    def restart(k):
+    def walk(s):
+        """Row s's walk.  It yields each pair to solve, a grid index or a
+        refinement pair, and is sent the pair's objective, or None where its
+        design is rank deficient, or ``spent``.  A pair without an objective
+        leaves the row's basis as the pair was entered with."""
+        k, c = divmod(s, C)
+        stack, failed = minima[s], spent_at[s]
+        for p in range(bounds[c], bounds[c + 1]):
+            entry[k, p] = H[s]
+            value = yield p
+            if value is spent:
+                failed.append(p)
+            elif value is not None:
+                while stack and stack[-1][0] > value:
+                    stack.pop()
+                stack.append((value, p))
+                continue
+            H[s] = entry[k, p]
+        exits[s] = H[s]
+        unfinished[k] -= 1
+        if unfinished[k]:
+            return
+        # the verifier, from the first pair with no basis
+        H[s] = -1
+        best = None  # (objective, pair)
+        failures = 0
+        for c in range(C):
+            t = k * C + c
+            for p in range(bounds[c], bounds[c + 1]):
+                if H[s].tolist() == entry[k, p].tolist():
+                    # entered as its segment entered it: from here on the
+                    # segment is the sequential chain
+                    stack = minima[t]
+                    at = bisect_left(stack, p, key=itemgetter(1))
+                    if at < len(stack) and (best is None or stack[at] < best):
+                        best = stack[at]
+                    failures += len(spent_at[t]) - bisect_left(spent_at[t], p)
+                    H[s] = exits[t]
+                    break
+                entry[k, p] = H[s]
+                value = yield p
+                if value is spent:
+                    failures += 1
+                elif value is not None:
+                    if best is None or (value, p) < best:
+                        best = (value, p)
+                    continue
+                H[s] = entry[k, p]
+        if best is None:
+            out[live[k]] = QuantileError(
+                f"quantile fit failed at every candidate breakpoint pair (tau={taus[live[k]]})")
+            return
+        value, w = best
+        incumbent = (value, mid[first[w]], mid[second[w]])
+        beta = None
+        for pair in _refinement(mids, u, admissible, incumbent[1:]):
+            start = H[s].copy()
+            value = yield pair
+            if value is spent:
+                failures += 1
+            elif value is not None:
+                if (value, *pair) < incumbent:
+                    incumbent, beta = (value, *pair), solved[s]
+                continue
+            H[s] = start
+        if beta is None:
+            # the grid pair stands: solve it again from its entry basis
+            H[s] = entry[k, w]
+            yield w
+            beta = solved[s]
+        objective, a1, a2 = incumbent
+        out[live[k]] = QuantileSegmentedFit(
+            tau=float(taus[live[k]]),
+            model=SegmentedModel(beta=tuple(beta.tolist()), alpha=(a1, a2)),
+            objective=objective,
+            status="optimal" if failures == 0 else "grid-fallback",
+            residuals=ys - segmented_design(xs, a1, a2) @ beta,
+        )
+
+    def restart(s):
         try:
-            H[k] = _initial_basis(X[k])
+            H[s] = _initial_basis(X[place[s]])
         except RankDeficiencyError:
             return False
         return True
 
-    def finish(k):
-        sweeping[k] = False
-        if best[k] is None:
-            out[live[k]] = QuantileError(
-                f"quantile fit failed at every candidate breakpoint pair (tau={taus[live[k]]})")
-            return
-        objective, a1, a2 = best[k]
-        out[live[k]] = QuantileSegmentedFit(
-            tau=float(taus[live[k]]),
-            model=SegmentedModel(beta=tuple(beta[k].tolist()), alpha=(a1, a2)),
-            objective=objective,
-            status="optimal" if failures[k] == 0 else "grid-fallback",
-            residuals=ys - segmented_design(xs, a1, a2) @ beta[k],
-        )
-
-    def move(ks):
-        """Move the taus ``ks`` to their next pair, or finish those whose
-        lists are spent.  A tau with no basis yet starts from the QR basis
-        of its pair, and moves on again if that design is rank deficient."""
-        while ks:
-            fresh = []
-            for k in ks:
-                a = at[k] = at[k] + 1
-                if a == stop[k] and refine[k] is None and best[k] is not None:
-                    refine[k] = _refinement(mids, u, admissible, best[k][1:])
-                    stop[k] += len(refine[k])
-                if a == stop[k]:
-                    finish(k)
-                    continue
-                if a < n_grid:
-                    i, j = first[a], second[a]
-                    pair[k] = (mid[i], mid[j])
-                    X[k, :, 2] = hinge[i]
-                    X[k, :, 3] = hinge[j]
+    def send(s, value):
+        """Hand row s the outcome of its pair and set it at the next pair its
+        walk asks for; False once the walk has ended.  A row with no basis
+        starts from the QR basis of the pair, and skips the pair if that
+        design is rank deficient."""
+        try:
+            pair = walks[s].send(value)
+            while True:
+                m = place[s]
+                if type(pair) is int:
+                    X[m, :, 2] = hinge[first[pair]]
+                    X[m, :, 3] = hinge[second[pair]]
                 else:
-                    pair[k] = a1, a2 = refine[k][a - n_grid]
-                    X[k, :, 2] = np.maximum(xs - a1, 0.0)
-                    X[k, :, 3] = np.maximum(xs - a2, 0.0)
-                passes[k] = 0
-                warm[k] = H[k]
-                if H[k, 0] < 0:
-                    fresh.append(k)
-            ks = [k for k in fresh if not restart(k)]
+                    X[m, :, 2] = np.maximum(xs - pair[0], 0.0)
+                    X[m, :, 3] = np.maximum(xs - pair[1], 0.0)
+                passes[s] = 0
+                if H[s, 0] >= 0 or restart(s):
+                    return True
+                pair = walks[s].send(None)
+        except StopIteration:
+            return False
 
-    move(list(range(K)))
-    while sweeping.any():
-        rows = sweeping.nonzero()[0]
-        bland = np.array([passes[k] >= _BLAND_AFTER for k in rows.tolist()])
-        kept, settled, b, objective = _simplex_pass(
-            X if rows.size == K else X[rows], ys, levels[rows], H, rows, ztol, bland, restart)
-        # a pair that ends in an error leaves the tau's basis as it entered
-        failed = np.setdiff1d(rows, kept).tolist() if kept.size < rows.size else []
-        moved = []
-        for m, (k, optimal, value) in enumerate(zip(kept.tolist(), settled.tolist(), objective.tolist())):
+    walks = [walk(s) for s in range(S)]
+    ended = [s for s in range(S) if not send(s, None)]
+    while True:
+        if ended:
+            walking = ~np.isin(rows, ended)
+            rows, X, level = rows[walking], X[walking], level[walking]
+            for m, s in enumerate(rows.tolist()):
+                place[s] = m
+        if rows.size == 0:
+            return out
+        bland = np.array([passes[s] >= _BLAND_AFTER for s in rows.tolist()])
+        kept, settled, b, objective = _simplex_pass(X, ys, level, H, rows, ztol, bland, restart)
+        # a row that leaves the pass has met a rank-deficient design
+        outcomes = [(s, None) for s in np.setdiff1d(rows, kept).tolist()] if kept.size < rows.size else []
+        for m, (s, optimal, value) in enumerate(zip(kept.tolist(), settled.tolist(), objective.tolist())):
             if optimal:
-                if best[k] is None or (value, *pair[k]) < best[k]:
-                    best[k] = (value, *pair[k])
-                    beta[k] = b[m]
-                moved.append(k)
+                solved[s] = b[m]
+                outcomes.append((s, value))
             else:
-                passes[k] += 1
-                if passes[k] == _PIVOT_BUDGET:
-                    failures[k] += 1
-                    failed.append(k)
-        for k in failed:
-            H[k] = warm[k]
-        move(moved + failed)
-    return out
+                passes[s] += 1
+                if passes[s] == _PIVOT_BUDGET:
+                    outcomes.append((s, spent))
+        ended = []
+        for s, value in outcomes:
+            if not send(s, value):
+                ended.append(s)
+            solved[s] = None
 
 
 def _refinement(mids: np.ndarray, u: np.ndarray, admissible: np.ndarray, incumbent) -> list:
@@ -529,8 +621,12 @@ def _refinement(mids: np.ndarray, u: np.ndarray, admissible: np.ndarray, incumbe
 
 
 def check_tau_grid(taus: Sequence[float]) -> list[float]:
-    """The grid as a list, which must be strictly increasing."""
+    """The grid as a list, whose levels must lie in (0, 1) and strictly
+    increase."""
     taus = list(taus)
+    for tau in taus:
+        if not (0.0 < tau < 1.0):
+            raise QuantileError(f"tau must be in (0, 1), got {tau}")
     if sorted(taus) != taus or len(set(taus)) != len(taus):
         raise QuantileError("tau grid must be strictly increasing")
     return taus
@@ -541,11 +637,13 @@ def fit_tau_grid(ds: BivariateDataset, taus: Sequence[float] = DEFAULT_TAU_GRID,
     failures is a list of ``(tau, message)`` for levels that could not be
     fit.
 
-    Every tau walks the candidate pairs at its own pace, from its own warm
-    basis, and each simplex pass solves one pair of every tau still sweeping
-    in one stacked block.  Each tau's chain of bases, and so its fit, is
-    byte-identical to
-    ``fit_segmented_quantile(ds, tau, min_segment_points)``.  Data that
+    Every level must lie in (0, 1) and the grid must strictly increase, or
+    :class:`QuantileError` is raised.  Each tau's candidate list is walked
+    as several segments side by side, each verified against the tau's
+    sequential chain of warm starts where they meet, and each simplex pass
+    solves the current pair of every walk still running in one stacked
+    block.  Each tau's fit is byte-identical to its sequential chain, and
+    so to ``fit_segmented_quantile(ds, tau, min_segment_points)``.  Data that
     cannot support two breakpoints raise the
     :class:`~breakline.piecewise.SegmentedError` of
     :func:`~breakline.piecewise.fit_segmented` for the whole grid.

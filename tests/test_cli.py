@@ -273,6 +273,25 @@ def test_partial_tau_rows_exit_4(tmp_path):
     assert summary["partial"] is True
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1.5", "0", "-0.1"])
+@pytest.mark.parametrize("command", [["pqrm"], ["compare", "--bootstrap", "20"]], ids=["pqrm", "compare"])
+def test_tau_outside_unit_interval_is_exit_3(tmp_path, command, bad):
+    """A grid level outside (0, 1), NaN and inf included, is refused as a
+    fit error before any fit runs, not reported as a partial result whose
+    JSON would hold NaN or Infinity."""
+    csv_path = _synth(tmp_path, noise="gaussian:0.4", seed=7, n=30)
+    out = tmp_path / "badtau"
+    code = main(
+        [*command, "--input", str(csv_path), "--x", "x", "--y", "y", "--tau-grid", f"0.1,0.5,{bad}",
+         "--out", str(out)]
+    )
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == "QuantileError"
+    assert record["message"] == f"tau must be in (0, 1), got {float(bad)}"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 _PLRM_FILES = [
     "band_gamma080.csv", "band_gamma095.csv", "figure_plrm.svg", "figure_plrm_geometry.csv",
     "fit_report.json", "summary.json",

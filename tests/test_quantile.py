@@ -494,26 +494,31 @@ def _bit_identity_datasets():
     yield "noiseless n=40", BivariateDataset.from_arrays(xs, eval_segmented(truth, xs))
 
 
+def _assert_fits_match(fits, failures, wanted, label):
+    """``fit_tau_grid``'s output against ``wanted``, the scalar sweep's
+    result (or failure message) per tau."""
+    got = {f.tau: f for f in fits}
+    got.update(failures)
+    assert len(got) == len(wanted)
+    for tau, want in wanted.items():
+        if isinstance(want, str):
+            assert got[tau] == want, (label, tau)
+            continue
+        fit = got[tau]
+        objective, alpha, beta, residuals, status = want
+        assert fit.objective == objective, (label, tau)
+        assert fit.model.alpha == alpha, (label, tau)
+        assert fit.model.beta == beta, (label, tau)
+        assert np.array_equal(fit.residuals, residuals), (label, tau)
+        assert fit.status == status, (label, tau)
+
+
 def _assert_grid_matches_scalar(ds, taus, label, starts):
     """``fit_tau_grid`` against the scalar sweep from each warm start in
     ``starts``: None (the QR basis) or a model seeding the first pair."""
     fits, failures = fit_tau_grid(ds, taus)
-    got = {f.tau: f for f in fits}
-    got.update(failures)
-    assert len(got) == len(taus)
     for start in starts:
-        for tau in taus:
-            want = _scalar_sweep(ds, tau, init=start)
-            if isinstance(want, str):
-                assert got[tau] == want, (label, tau, start)
-                continue
-            fit = got[tau]
-            objective, alpha, beta, residuals, status = want
-            assert fit.objective == objective, (label, tau, start)
-            assert fit.model.alpha == alpha, (label, tau, start)
-            assert fit.model.beta == beta, (label, tau, start)
-            assert np.array_equal(fit.residuals, residuals), (label, tau, start)
-            assert fit.status == status, (label, tau, start)
+        _assert_fits_match(fits, failures, {tau: _scalar_sweep(ds, tau, init=start) for tau in taus}, (label, start))
     return fits
 
 
@@ -544,6 +549,87 @@ def test_tau_grid_matches_scalar_sweep_on_the_bland_path(monkeypatch):
     for label, ds in _bit_identity_datasets():
         if label.startswith(("half-unit tied", "repeated x")):
             _assert_grid_matches_scalar(ds, list(DEFAULT_TAU_GRID), label, (None,))
+
+
+@pytest.mark.parametrize("setting", ["default", "bland", "low budget"])
+def test_segmented_sweep_matches_scalar_sweep_at_every_segment_count(monkeypatch, setting):
+    """Whether each tau's grid is walked as one segment, two, the default
+    number or one segment per pair (every segment then starts cold, so
+    the verifier solves every pair itself), every tau gets its scalar
+    sweep's fit to the bit.  So it does on the least-index rule from the
+    first pivot, and with a pivot budget of 6, where some taus keep every
+    pair of their chain and others fail some, while cold segment starts
+    fail more often: only the chain's failures may count."""
+    taus = list(DEFAULT_TAU_GRID)
+    datasets = list(_bit_identity_datasets())
+    if setting == "bland":
+        monkeypatch.setattr(quantile_module, "_BLAND_AFTER", 1)
+        datasets = [(label, ds) for label, ds in datasets if label.startswith(("half-unit tied", "repeated x"))]
+    elif setting == "low budget":
+        monkeypatch.setattr(quantile_module, "_PIVOT_BUDGET", 6)
+        taus = [0.1, 0.5, 0.9]
+        datasets = [(label, ds) for label, ds in datasets if ds.n == 40]
+    real_pass = quantile_module._simplex_pass
+    stacked = []
+
+    def counting(X, *args):
+        stacked.append(X.shape[0])
+        return real_pass(X, *args)
+
+    monkeypatch.setattr(quantile_module, "_simplex_pass", counting)
+    default = -(-quantile_module._STACK_ROWS // len(taus))
+    statuses = set()
+    for label, ds in datasets:
+        wanted = {tau: _scalar_sweep(ds, tau) for tau in taus}
+        n_grid = int(_segment_cells(ds.xs, 3)[2].sum())
+        # one segment per pair stacks every pair of every tau at once, so
+        # it runs on the small datasets only
+        counts = (1, 2, default, n_grid) if ds.n == 40 else (1, 2, default)
+        for segments in counts:
+            monkeypatch.setattr(quantile_module, "_STACK_ROWS", segments * len(taus))
+            stacked.clear()
+            fits, failures = fit_tau_grid(ds, taus)
+            assert max(stacked) == segments * len(taus), (label, segments)
+            _assert_fits_match(fits, failures, wanted, (label, segments))
+            statuses |= {f.status for f in fits}
+    assert statuses == ({"optimal", "grid-fallback"} if setting == "low budget" else {"optimal"})
+
+
+def _fixed_input():
+    """The benchmark's fixed input: half-unit tied wedge data on
+    x = linspace(0, 1, 100)."""
+    truth = SegmentedModel(beta=(10.0, 0.0, -5.0, 5.0), alpha=(0.3, 0.6))
+    xs = np.linspace(0.0, 1.0, 100)
+    noise = 0.5 * (1.0 + 1.5 * xs) * np.random.default_rng(2).standard_normal(100)
+    return BivariateDataset.from_arrays(xs, np.round(2.0 * (eval_segmented(truth, xs) + noise)) / 2.0)
+
+
+def test_tau_sweep_pass_counts_are_bounded(monkeypatch):
+    """Walking each tau's grid in segments side by side, the decile sweep
+    of the benchmark's fixed input takes at most 3 000 stacked simplex
+    passes and one tau at most 750 (2 327 and 689 when this was written;
+    walking each tau's grid as one chain took 6 077 and 5 548)."""
+    real_pass = quantile_module._simplex_pass
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real_pass(*args)
+
+    monkeypatch.setattr(quantile_module, "_simplex_pass", counting)
+    ds = _fixed_input()
+    fit_tau_grid(ds)
+    assert len(calls) <= 3000, len(calls)
+    calls.clear()
+    fit_segmented_quantile(ds, 0.1)
+    assert len(calls) <= 750, len(calls)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, 1.0, 0.0, -0.1])
+def test_tau_grid_refuses_levels_outside_unit_interval(bad):
+    ds = _grid_dataset(n=21, sigma=0.3, seed=2)
+    with pytest.raises(QuantileError, match=r"^tau must be in \(0, 1\), got "):
+        fit_tau_grid(ds, [0.3, 0.5, bad])
 
 
 def test_tau_grid_peak_memory_is_bounded():
